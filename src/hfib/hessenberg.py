@@ -10,6 +10,7 @@ determinants and TPoly characteristic polynomials.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -233,6 +234,14 @@ def build_fib_matrix(n: int) -> HessMatrix:
     return HessMatrix(rows)
 
 
+@lru_cache(maxsize=16)
+def _fib_entries(n: int) -> tuple[tuple[Poly, ...], ...]:
+    """Entries of build_fib_matrix(n), built and validated once per n for
+    the minor enumerations, which take up to 2^n minors of one matrix.
+    """
+    return build_fib_matrix(n).entries
+
+
 def principal_minor(n: int, deleted: Sequence[int]) -> Poly:
     """Determinant of the Fibonacci matrix with the 1-based rows and
     columns in `deleted` removed (the empty matrix has determinant 1).
@@ -246,7 +255,7 @@ def principal_minor(n: int, deleted: Sequence[int]) -> Poly:
         prev = i
     gone = set(deleted)
     keep = [i for i in range(1, n + 1) if i not in gone]
-    full = build_fib_matrix(n).entries
+    full = _fib_entries(n)
     rows = [[full[i - 1][j - 1] for j in keep] for i in keep]
     return _hess_det_generic(rows, ZERO, ONE)
 

@@ -88,35 +88,43 @@ def convolved_closed_form(r: int, j: int) -> Poly:
 
 
 def _conv_prefix(r: int, length: int) -> list[Poly]:
-    """Prefix of the r-fold self-convolution of (fib(1), fib(2), ...)."""
+    """Prefix of the r-fold self-convolution of (fib(1), fib(2), ...).
+
+    _conv[r] only grows: a request computes just the missing terms
+    m = have..length-1, each as sum of lower[i] * base[m-i] after level
+    r-1 has been extended to the same length.  Reaching length L thus
+    costs L(L+1)/2 Poly products per level 2..r, whatever order the
+    lengths are asked in.  The products run outside the lock (fib takes
+    it); a thread that loses a race to extend the table drops the terms
+    another thread already appended, which are equal.
+    """
     with _lock:
-        prefix = _conv.get(r)
-        have = len(prefix) if prefix else 0
-    if prefix is not None and have >= length:
-        return prefix[:length]
-    if r == 1:
-        fresh = [fib(i + 1) for i in range(length)]
-    else:
-        lower = _conv_prefix(r - 1, length)
-        base = [fib(i + 1) for i in range(length)]
-        fresh = []
-        for m in range(length):
-            acc = ZERO
-            for i in range(m + 1):
-                acc = acc + lower[i] * base[m - i]
-            fresh.append(acc)
-    with _lock:
-        prev = _conv.get(r)
-        if prev is None or len(prev) < len(fresh):
-            _conv[r] = fresh
-    return fresh
+        prefix = _conv.setdefault(r, [])
+        have = len(prefix)
+    if have < length:
+        if r == 1:
+            fresh = [fib(m + 1) for m in range(have, length)]
+        else:
+            lower = _conv_prefix(r - 1, length)
+            base = [fib(i + 1) for i in range(length)]
+            fresh = []
+            for m in range(have, length):
+                acc = ZERO
+                for i in range(m + 1):
+                    acc = acc + lower[i] * base[m - i]
+                fresh.append(acc)
+        with _lock:
+            prefix.extend(fresh[len(prefix) - have:])
+    return prefix[:length]
 
 
 def convolved_convolution(r: int, m: int) -> Poly:
     """Convolved polynomial F(r, m+1) by r-fold discrete convolution.
 
     Computed as r-1 pairwise prefix convolutions, never by enumerating
-    the compositions of m.
+    the compositions of m.  The prefixes are memoized and extended
+    incrementally, so asking for every m <= M at order r costs
+    (r-1)(M+1)(M+2)/2 Poly products in total, in any order.
     """
     if r < 1:
         raise ValueError("r must be >= 1")

@@ -88,32 +88,49 @@ class Series:
 
         The constant coefficient must be 1 or -1 (the units of Z[h]).
         """
-        c0 = self.coeffs[0]
-        if c0.coeffs not in ((1,), (-1,)):
-            raise NotInvertible(f"constant coefficient {c0} is not a unit")
-        u = c0.coeffs[0]  # 1 or -1, its own inverse
-        out = [Poly([u])]
-        for n in range(1, self.order):
-            acc = ZERO
-            for k in range(1, n + 1):
-                ak = self.coeffs[k]
-                if not ak.is_zero():
-                    acc = acc + ak * out[n - k]
-            out.append(acc * (-u))
-        return Series(out, self.order)
+        return self ** -1
 
     def __pow__(self, k: int) -> Series:
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = Series.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        """self^k at the same order, for any integer k.
+
+        b = a^k satisfies a*b' = k*a'*b, which gives the J.C.P. Miller /
+        Euler recurrence (Knuth, TAOCP vol. 2, 4.7)
+
+            n*a0*b[n] = sum over i = 1..n of ((k+1)*i - n) * a[i] * b[n-i]
+
+        from b[0] = a0^k.  Zero a[i] are skipped, so a series with s
+        nonzero tail coefficients costs at most s ring products per term:
+        2N products for N terms of the 3-term kernel, where binary
+        powering took O(log k) dense series products of O(N^2) each.
+        Each division by n*a0 is Poly.exact_div, which raises rather than
+        rounds.  A negative k needs a unit constant (1 or -1); a zero
+        constant with k > 0 has its lowest power of t factored out first.
+        """
+        order, a = self.order, self.coeffs
+        if k < 0 and a[0].coeffs not in ((1,), (-1,)):
+            raise NotInvertible(f"constant coefficient {a[0]} is not a unit")
+        if k == 0:
+            return Series.one(order)
+        low = next((i for i, c in enumerate(a) if c), order)
+        if low:  # k > 0: a = t^low * c with c[0] != 0, so a^k = t^(low*k) * c^k
+            shift = low * k
+            if shift >= order:
+                return Series([], order)
+            inner = Series(a[low:low + order - shift], order - shift) ** k
+            return Series([ZERO] * shift + list(inner.coeffs), order)
+        a0 = a[0]
+        tail = [(i, c) for i, c in enumerate(a) if i and c]
+        b = [a0 ** abs(k)]  # for k < 0, a0 is a unit and so its own inverse
+        for n in range(1, order):
+            acc = ZERO
+            for i, c in tail:
+                if i > n:
+                    break
+                weight = (k + 1) * i - n
+                if weight:
+                    acc = acc + c * weight * b[n - i]
+            b.append(acc.exact_div(a0 * n))
+        return Series(b, order)
 
     def derivative(self) -> Series:
         """Term-wise d/dt, keeping the order.

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+import sys
+
 import pytest
 
 from golden import (
@@ -208,19 +211,64 @@ def test_thread_safety_of_memo_tables():
 
     errors = []
 
-    def worker():
+    def worker(seed):
+        # each worker extends the convolution prefixes in its own
+        # interleaved, non-monotone order of (r, j)
+        requests = [(r, j) for r in range(1, 6) for j in range(25)]
+        random.Random(seed).shuffle(requests)
         try:
             for n in range(1, 80):
                 assert fib(n) == fib_combinatorial(n)
-            for r in (1, 2, 3):
-                for j in range(25):
-                    assert convolved_convolution(r, j) == convolved_recurrence(r, j + 1)
+            for r, j in requests:
+                assert convolved_convolution(r, j) == convolved_recurrence(r, j + 1)
         except Exception as exc:  # pragma: no cover - only on failure
             errors.append(exc)
 
-    threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so the races happen
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert not errors
+    # racing extensions must neither drop nor duplicate memoized terms
+    for r in range(1, 6):
+        prefix = seq._conv[r]
+        assert prefix == [convolved_closed_form(r, m) for m in range(len(prefix))], r
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_convolution_route_work_is_quadratic(order, monkeypatch):
+    import hfib.sequences as seq
+
+    r_max, length = 8, 61
+    requests = [(r, j) for r in range(1, r_max + 1) for j in range(length)]
+    if order == "descending":
+        requests.reverse()
+    elif order == "shuffled":
+        random.Random(0).shuffle(requests)
+    fib(length)  # warm the base sequence so that only convolution products count
+    with seq._lock:
+        seq._conv.clear()
+
+    calls = 0
+    mul = Poly.__mul__
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    got = {(r, j): convolved_convolution(r, j) for r, j in requests}
+    monkeypatch.undo()
+    # level k = 2..r_max convolves level k-1 with the base sequence once:
+    # term m of a prefix costs m + 1 products
+    assert calls == (r_max - 1) * length * (length + 1) // 2
+    for (r, j), value in got.items():
+        assert value == convolved_closed_form(r, j), (r, j)

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hfib import H, ONE, ZERO, NotInvertible, OrderMismatch, Poly, Series, fib
@@ -12,20 +12,48 @@ def poly_list(strings):
     return [Poly(c) for c in strings]
 
 
-def invertible_series(max_order=32):
-    unit = st.sampled_from([1, -1]).map(lambda u: Poly([u]))
+UNITS = st.sampled_from([1, -1]).map(lambda u: Poly([u]))
+NON_UNITS = (
+    st.lists(st.integers(min_value=-9, max_value=9), max_size=3)
+    .map(Poly)
+    .filter(lambda p: p.coeffs not in ((1,), (-1,)))
+)
+
+
+def series_with_constant(constant, max_order=32):
     tail_poly = st.lists(st.integers(min_value=-9, max_value=9), max_size=4).map(Poly)
 
-    def build(draw_unit, tail, order):
-        coeffs = [draw_unit] + tail[: order - 1]
+    def build(c0, tail, order):
+        coeffs = [c0] + tail[: order - 1]
         return Series(coeffs, order)
 
     return st.builds(
         build,
-        unit,
+        constant,
         st.lists(tail_poly, max_size=max_order - 1),
         st.integers(min_value=1, max_value=max_order),
     )
+
+
+def inverse_by_division(a):
+    """Oracle inverse: solve a * x = 1 one coefficient at a time."""
+    u = a.coeffs[0].coeffs[0]
+    x = [Poly([u])]
+    for n in range(1, a.order):
+        acc = ZERO
+        for i in range(1, n + 1):
+            acc = acc + a.coeffs[i] * x[n - i]
+        x.append(acc * -u)
+    return Series(x, a.order)
+
+
+def power_by_products(a, k):
+    """Oracle power: |k| repeated products of a, or of its inverse."""
+    base = a if k >= 0 else inverse_by_division(a)
+    out = Series.one(a.order)
+    for _ in range(abs(k)):
+        out = out * base
+    return out
 
 
 def test_mul_truncates():
@@ -134,13 +162,13 @@ def test_validation():
         convolved_series(2, 0)
 
 
-@given(invertible_series())
+@given(series_with_constant(UNITS))
 @settings(max_examples=60, deadline=None)
 def test_inverse_round_trip(a):
     assert a * a.inverse() == Series.one(a.order)
 
 
-@given(invertible_series(max_order=12),
+@given(series_with_constant(UNITS, max_order=12),
        st.integers(min_value=-3, max_value=3),
        st.integers(min_value=-3, max_value=3))
 @settings(max_examples=40, deadline=None)
@@ -148,7 +176,7 @@ def test_pow_additive(a, j, k):
     assert a ** (j + k) == (a**j) * (a**k)
 
 
-@given(invertible_series(max_order=10), invertible_series(max_order=10))
+@given(series_with_constant(UNITS, max_order=10), series_with_constant(UNITS, max_order=10))
 @settings(max_examples=40, deadline=None)
 def test_leibniz_rule(a, b):
     if a.order != b.order:
@@ -156,3 +184,27 @@ def test_leibniz_rule(a, b):
     lhs = (a * b).derivative()
     rhs = a.derivative() * b + a * b.derivative()
     assert list(lhs.coeffs)[: a.order - 1] == list(rhs.coeffs)[: a.order - 1]
+
+
+@given(series_with_constant(UNITS, max_order=12), st.integers(min_value=-6, max_value=6))
+@example(Series([-ONE, H, Poly([2])], 7), -3)
+@example(Series([-ONE, H, Poly([2])], 7), 5)
+@settings(max_examples=80, deadline=None)
+def test_pow_matches_repeated_products_unit_constant(a, k):
+    assert a**k == power_by_products(a, k)
+
+
+@given(series_with_constant(st.one_of(st.just(ZERO), NON_UNITS), max_order=12),
+       st.integers(min_value=1, max_value=6))
+@example(Series([H, ONE], 6), 4)
+@example(Series([ZERO, ZERO, H, ONE], 12), 3)
+@settings(max_examples=100, deadline=None)
+def test_pow_matches_repeated_products_non_unit_constant(a, k):
+    assert a**k == power_by_products(a, k)
+
+
+@given(series_with_constant(NON_UNITS, max_order=12), st.integers(min_value=-6, max_value=-1))
+@settings(max_examples=40, deadline=None)
+def test_negative_pow_requires_unit_constant(a, k):
+    with pytest.raises(NotInvertible):
+        a**k
