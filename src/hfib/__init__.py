@@ -22,6 +22,7 @@ from .sequences import (
     convolved_closed_form,
     convolved_convolution,
     convolved_recurrence,
+    derivative_identity_sides,
     fib,
     fib_combinatorial,
     lucas,
@@ -59,6 +60,7 @@ __all__ = [
     "convolved_recurrence",
     "convolved_series",
     "convolved_table",
+    "derivative_identity_sides",
     "fib",
     "fib_combinatorial",
     "hess_det",

@@ -227,6 +227,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # exact integers print at any size
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

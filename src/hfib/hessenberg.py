@@ -12,109 +12,41 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .poly import H, ONE, ZERO, Poly, binom
+from .poly import H, ONE, ZERO, Dense, Poly, binom
 
 
 class IndexOutOfRange(IndexError):
     """A deletion index list is not strictly increasing inside 1..n."""
 
 
-class TPoly:
+class TPoly(Dense):
     """Polynomial in t with Poly coefficients, index = power of t."""
 
-    __slots__ = ("coeffs_t",)
+    __slots__ = ()
 
-    coeffs_t: tuple[Poly, ...]
-
-    def __init__(self, coeffs_t: Iterable[Poly] = ()):
-        cs = list(coeffs_t)
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        object.__setattr__(self, "coeffs_t", tuple(cs))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("TPoly is immutable")
-
-    @property
-    def degree(self) -> int | None:
-        return len(self.coeffs_t) - 1 if self.coeffs_t else None
-
-    def is_zero(self) -> bool:
-        return not self.coeffs_t
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs_t)
+    _zero = ZERO
+    _one = ONE
 
     def coefficient(self, power: int) -> Poly:
-        if 0 <= power < len(self.coeffs_t):
-            return self.coeffs_t[power]
+        if 0 <= power < len(self.coeffs):
+            return self.coeffs[power]
         return ZERO
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs_t) and self.coeffs_t[-1] == ONE
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, TPoly) and self.coeffs_t == other.coeffs_t
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs_t)
-
-    def __add__(self, other: TPoly) -> TPoly:
-        a, b = self.coeffs_t, other.coeffs_t
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return TPoly(out)
-
-    def __sub__(self, other: TPoly) -> TPoly:
-        return self + (-other)
-
-    def __neg__(self) -> TPoly:
-        return TPoly([-c for c in self.coeffs_t])
-
-    def __mul__(self, other: TPoly | Poly | int) -> TPoly:
-        if isinstance(other, int):
-            return TPoly([c * other for c in self.coeffs_t])
-        if isinstance(other, Poly):
-            return TPoly([c * other for c in self.coeffs_t])
-        a, b = self.coeffs_t, other.coeffs_t
-        if not a or not b:
-            return TPoly()
-        out = [ZERO] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if not ca.is_zero():
-                for j, cb in enumerate(b):
-                    out[i + j] = out[i + j] + ca * cb
-        return TPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> TPoly:
-        if k < 0:
-            raise ValueError("negative exponent")
-        result, base = T_ONE, self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return bool(self.coeffs) and self.coeffs[-1] == ONE
 
     def __str__(self) -> str:
         """Decreasing powers of t; multi-term Poly coefficients are
         parenthesized, single terms inlined with the sign pulled out:
         't^2 - 2ht + (h^2 + 1)'.
         """
-        if not self.coeffs_t:
+        if not self.coeffs:
             return "0"
         parts: list[str] = []
-        for k in range(len(self.coeffs_t) - 1, -1, -1):
-            c = self.coeffs_t[k]
+        for k in range(len(self.coeffs) - 1, -1, -1):
+            c = self.coeffs[k]
             if c.is_zero():
                 continue
             negative = c.coeffs[-1] < 0
@@ -140,7 +72,7 @@ class TPoly:
         return f"TPoly('{self}')"
 
     def to_json(self) -> list[list[str]]:
-        return [c.to_json() for c in self.coeffs_t]
+        return [c.to_json() for c in self.coeffs]
 
 
 T_ZERO = TPoly()
@@ -217,21 +149,25 @@ def hess_det(a: HessMatrix) -> Poly:
     return _hess_det_generic(a.entries, ZERO, ONE)
 
 
+def _tridiagonal(n, diag, sup, sub, zero):
+    """Rows of the n x n tridiagonal grid with constant diagonals."""
+    rows = []
+    for i in range(n):
+        row = [zero] * n
+        row[i] = diag
+        if i + 1 < n:
+            row[i + 1] = sup
+        if i > 0:
+            row[i - 1] = sub
+        rows.append(row)
+    return rows
+
+
 def build_fib_matrix(n: int) -> HessMatrix:
     """Tridiagonal n x n matrix: diagonal h, superdiagonal 1, subdiagonal -1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    minus_one = Poly([-1])
-    rows = []
-    for i in range(n):
-        row = [ZERO] * n
-        row[i] = H
-        if i + 1 < n:
-            row[i + 1] = ONE
-        if i > 0:
-            row[i - 1] = minus_one
-        rows.append(row)
-    return HessMatrix(rows)
+    return HessMatrix(_tridiagonal(n, H, ONE, Poly([-1]), ZERO))
 
 
 @lru_cache(maxsize=16)
@@ -278,18 +214,8 @@ def char_poly(n: int) -> TPoly:
     """det(t*I - F_n) over the TPoly ring; monic of degree n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    diag = TPoly([-H, ONE])  # t - h
-    sup = TPoly([-ONE])
-    sub = TPoly([ONE])
-    rows = []
-    for i in range(n):
-        row = [T_ZERO] * n
-        row[i] = diag
-        if i + 1 < n:
-            row[i + 1] = sup
-        if i > 0:
-            row[i - 1] = sub
-        rows.append(row)
+    # t*I - F_n: diagonal t - h, superdiagonal -1, subdiagonal 1
+    rows = _tridiagonal(n, TPoly([-H, ONE]), TPoly([-ONE]), TPoly([ONE]), T_ZERO)
     return _hess_det_generic(rows, T_ZERO, T_ONE)
 
 

@@ -3,7 +3,10 @@
 A polynomial is a tuple of arbitrary-precision integer coefficients,
 index i holding the coefficient of h^i.  Values are normalized (no
 trailing zero) and immutable; the zero polynomial is the empty tuple
-and its degree is None rather than a fake integer.
+and its degree is None rather than a fake integer.  The dense
+arithmetic itself lives in Dense, which the t-polynomials of the
+characteristic polynomial share, and ring_pow is the package's one
+square-and-multiply.
 
 >>> Poly([0, 2, 0, 1])
 Poly('h^3 + 2h')
@@ -20,26 +23,46 @@ class NotDivisible(ArithmeticError):
     """Raised when an exact polynomial division leaves a remainder."""
 
 
-class Poly:
+def ring_pow(x, k: int, one):
+    """x**k by square-and-multiply, for any ring element with *; `one`
+    is the ring's unit, returned for k = 0.
+    """
+    if k < 0:
+        raise ValueError("negative exponent")
+    result = one
+    while k:
+        if k & 1:
+            result = result * x
+        k >>= 1
+        if k:
+            x = x * x
+    return result
+
+
+class Dense:
+    """Dense polynomial over a coefficient ring, index i = power i.
+
+    Values are normalized (no trailing zero coefficient) and immutable.
+    A subclass names its coefficient ring's 0 and 1 in _zero and _one.
+    Operands of another type are scalars: they multiply every
+    coefficient, unless their own coefficients are of this type, in
+    which case they scale this value instead.
+    """
+
     __slots__ = ("coeffs",)
 
-    coeffs: tuple[int, ...]
+    coeffs: tuple
+    _zero: object
+    _one: object
 
-    def __init__(self, coeffs: Iterable[int] = ()):
+    def __init__(self, coeffs: Iterable = ()):
         cs = list(coeffs)
-        while cs and cs[-1] == 0:
+        while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
     def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Poly is immutable")
-
-    @staticmethod
-    def monomial(power: int, coeff: int = 1) -> Poly:
-        """coeff * h^power"""
-        if coeff == 0:
-            return ZERO
-        return Poly([0] * power + [coeff])
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def degree(self) -> int | None:
@@ -53,55 +76,65 @@ class Poly:
         return bool(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return type(other) is type(self) and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def __iter__(self) -> Iterator[int]:
+    def __iter__(self) -> Iterator:
         return iter(self.coeffs)
 
-    def __add__(self, other: Poly) -> Poly:
+    def __add__(self, other):
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly(out)
+        return type(self)(out)
 
-    def __sub__(self, other: Poly) -> Poly:
+    def __sub__(self, other):
         return self + (-other)
 
-    def __neg__(self) -> Poly:
-        return Poly([-c for c in self.coeffs])
+    def __neg__(self):
+        return type(self)([-c for c in self.coeffs])
 
-    def __mul__(self, other: Poly | int) -> Poly:
-        if isinstance(other, int):
-            return Poly([c * other for c in self.coeffs])
+    def __mul__(self, other):
+        cls = type(self)
+        if type(other) is not cls:
+            if isinstance(other, Dense) and type(other._zero) is cls:
+                return NotImplemented  # other has our type as coefficients
+            return cls([c * other for c in self.coeffs])
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return ZERO
-        out = [0] * (len(a) + len(b) - 1)
+            return cls()
+        out = [self._zero] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
                     out[i + j] += ca * cb
-        return Poly(out)
+        return cls(out)
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> Poly:
-        if k < 0:
-            raise ValueError("negative exponent")
-        result, base = ONE, self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+    def __pow__(self, k: int):
+        return ring_pow(self, k, type(self)([self._one]))
+
+
+class Poly(Dense):
+    """Dense polynomial in h with integer coefficients."""
+
+    __slots__ = ()
+
+    _zero = 0
+    _one = 1
+
+    @staticmethod
+    def monomial(power: int, coeff: int = 1) -> Poly:
+        """coeff * h^power"""
+        if coeff == 0:
+            return ZERO
+        return Poly([0] * power + [coeff])
 
     def compose(self, other: Poly) -> Poly:
         """Substitute h -> other, evaluated by Horner over the ring."""

@@ -7,7 +7,7 @@ root formulas for the sequences into exact polynomial statements.
 """
 from __future__ import annotations
 
-from .poly import ONE, Poly
+from .poly import ONE, ZERO, Poly, ring_pow
 
 # s^2 reduces to this.
 DISC = Poly([4, 0, 1])
@@ -49,17 +49,7 @@ class QuadExt:
         )
 
     def __pow__(self, k: int) -> QuadExt:
-        if k < 0:
-            raise ValueError("negative exponent")
-        result = QuadExt(ONE, Poly())
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return ring_pow(self, k, QuadExt(ONE, ZERO))
 
     def __str__(self) -> str:
         return f"({self.a}) + ({self.b})s"

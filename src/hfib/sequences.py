@@ -17,9 +17,7 @@ from __future__ import annotations
 import threading
 
 from .poly import H, ONE, ZERO, Poly, binom
-from .quadext import QuadExt
-
-DISC = Poly([4, 0, 1])  # h^2 + 4
+from .quadext import DISC, QuadExt
 
 _lock = threading.Lock()
 _fib: list[Poly] = [ZERO, ONE]
@@ -30,26 +28,25 @@ _conv: dict[int, list[Poly]] = {}
 _rec: dict[int, list[Poly]] = {}
 
 
-def fib(n: int) -> Poly:
-    """n-th Fibonacci polynomial: 0, 1, h, h^2 + 1, h^3 + 2h, ..."""
+def _memo(table: list[Poly], n: int) -> Poly:
+    """table[n] of x(k) = h*x(k-1) + x(k-2), extending the memo under the lock."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n >= len(_fib):
+    if n >= len(table):
         with _lock:
-            while len(_fib) <= n:
-                _fib.append(H * _fib[-1] + _fib[-2])
-    return _fib[n]
+            while len(table) <= n:
+                table.append(H * table[-1] + table[-2])
+    return table[n]
+
+
+def fib(n: int) -> Poly:
+    """n-th Fibonacci polynomial: 0, 1, h, h^2 + 1, h^3 + 2h, ..."""
+    return _memo(_fib, n)
 
 
 def lucas(n: int) -> Poly:
     """n-th Lucas polynomial: 2, h, h^2 + 2, h^3 + 3h, ..."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n >= len(_lucas):
-        with _lock:
-            while len(_lucas) <= n:
-                _lucas.append(H * _lucas[-1] + _lucas[-2])
-    return _lucas[n]
+    return _memo(_lucas, n)
 
 
 def fib_combinatorial(n: int) -> Poly:
@@ -90,31 +87,34 @@ def convolved_closed_form(r: int, j: int) -> Poly:
 def _conv_prefix(r: int, length: int) -> list[Poly]:
     """Prefix of the r-fold self-convolution of (fib(1), fib(2), ...).
 
-    _conv[r] only grows: a request computes just the missing terms
-    m = have..length-1, each as sum of lower[i] * base[m-i] after level
-    r-1 has been extended to the same length.  Reaching length L thus
-    costs L(L+1)/2 Poly products per level 2..r, whatever order the
-    lengths are asked in.  The products run outside the lock (fib takes
-    it); a thread that loses a race to extend the table drops the terms
-    another thread already appended, which are equal.
+    Levels 1..r are walked in turn, so any r works without recursion.
+    _conv[level] only grows: a request computes just the missing terms
+    m = have..length-1, each as sum of lower[i] * base[m-i] from level
+    level-1, which was extended to the same length first.  Reaching
+    length L thus costs L(L+1)/2 Poly products per level 2..r, whatever
+    order the lengths are asked in.  The products run outside the lock
+    (fib takes it); a thread that loses a race to extend the table drops
+    the terms another thread already appended, which are equal.
     """
-    with _lock:
-        prefix = _conv.setdefault(r, [])
-        have = len(prefix)
-    if have < length:
-        if r == 1:
-            fresh = [fib(m + 1) for m in range(have, length)]
-        else:
-            lower = _conv_prefix(r - 1, length)
-            base = [fib(i + 1) for i in range(length)]
-            fresh = []
-            for m in range(have, length):
-                acc = ZERO
-                for i in range(m + 1):
-                    acc = acc + lower[i] * base[m - i]
-                fresh.append(acc)
+    lower: list[Poly] = []
+    for level in range(1, r + 1):
         with _lock:
-            prefix.extend(fresh[len(prefix) - have:])
+            prefix = _conv.setdefault(level, [])
+            have = len(prefix)
+        if have < length:
+            if level == 1:
+                fresh = [fib(m + 1) for m in range(have, length)]
+            else:
+                base = [fib(i + 1) for i in range(length)]
+                fresh = []
+                for m in range(have, length):
+                    acc = ZERO
+                    for i in range(m + 1):
+                        acc = acc + lower[i] * base[m - i]
+                    fresh.append(acc)
+            with _lock:
+                prefix.extend(fresh[len(prefix) - have:])
+        lower = prefix
     return prefix[:length]
 
 
@@ -134,20 +134,22 @@ def convolved_convolution(r: int, m: int) -> Poly:
 
 
 def _rec_row(r: int, n: int) -> list[Poly]:
+    """Row r of the recurrence memo, at least n + 1 long; the caller
+    holds the lock.  Rows 0..r are extended in turn, without recursion.
+    """
     row = _rec.get(r)
     if row is not None and len(row) > n:
         return row
-    if r == 0:
+    below = _rec.get(0)
+    if below is None or len(below) <= n:
         # the convolution unit: 1 at index 1, 0 elsewhere
-        row = [ZERO, ONE] + [ZERO] * max(0, n - 1)
-        _rec[0] = row
-        return row
-    below = _rec_row(r - 1, n)
-    row = _rec.get(r) or [ZERO, ONE]
-    while len(row) <= n:
-        k = len(row)
-        row.append(below[k] + H * row[k - 1] + row[k - 2])
-    _rec[r] = row
+        below = _rec[0] = [ZERO, ONE] + [ZERO] * max(0, n - 1)
+    for level in range(1, r + 1):
+        row = _rec.setdefault(level, [ZERO, ONE])
+        while len(row) <= n:
+            k = len(row)
+            row.append(below[k] + H * row[k - 1] + row[k - 2])
+        below = row
     return row
 
 
@@ -166,17 +168,24 @@ def convolved_recurrence(r: int, n: int) -> Poly:
         return _rec_row(r, n)[n]
 
 
-def check_derivative_identity(r: int, n: int) -> bool:
-    """True iff n*F(r, n+1) = r*(h*F(r+1, n) + 2*F(r+1, n-1)) holds exactly.
+def derivative_identity_sides(r: int, n: int) -> tuple[Poly, Poly]:
+    """Both sides of n*F(r, n+1) = r*(h*F(r+1, n) + 2*F(r+1, n-1)).
 
     This is the identity produced by differentiating the generating
-    function, which raises the convolution order by one.
+    function, which raises the convolution order by one.  Returns
+    (lhs, rhs); the identity under test is lhs == rhs.
     """
     if r < 1 or n < 1:
         raise ValueError("requires r >= 1 and n >= 1")
     lhs = n * convolved_closed_form(r, n)
     prev = convolved_closed_form(r + 1, n - 2) if n >= 2 else ZERO
     rhs = r * (H * convolved_closed_form(r + 1, n - 1) + 2 * prev)
+    return lhs, rhs
+
+
+def check_derivative_identity(r: int, n: int) -> bool:
+    """True iff the derivative identity holds exactly at (r, n)."""
+    lhs, rhs = derivative_identity_sides(r, n)
     return lhs == rhs
 
 

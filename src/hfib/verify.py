@@ -32,6 +32,7 @@ from .sequences import (
     convolved_closed_form,
     convolved_convolution,
     convolved_recurrence,
+    derivative_identity_sides,
     fib,
     fib_combinatorial,
     lucas,
@@ -84,16 +85,20 @@ def _run_check(
     passed = True
     counterexample = None
     ran_any = False
-    for desc, lhs, rhs in instances:
-        if corrupt:
-            lhs = _corrupted(lhs)
-            corrupt = False
-        ran_any = True
-        if lhs != rhs:
-            passed = False
-            counterexample = f"{desc}: lhs = {lhs} ; rhs = {rhs}"
-            break
-    if not ran_any:
+    try:
+        for desc, lhs, rhs in instances:
+            if corrupt:
+                lhs = _corrupted(lhs)
+                corrupt = False
+            ran_any = True
+            if lhs != rhs:
+                passed = False
+                counterexample = f"{desc}: lhs = {lhs} ; rhs = {rhs}"
+                break
+    except Exception as exc:
+        passed = False
+        counterexample = f"{type(exc).__name__}: {exc}"
+    if not ran_any and passed:
         params = dict(params, skipped=1)
     elapsed_ms = int(1000 * (time.perf_counter() - start))
     return CheckResult(check_id, params, passed, counterexample, elapsed_ms)
@@ -181,9 +186,7 @@ def _check_linear_term(r_max: int, n_max: int, rng: random.Random) -> Iterator[I
 def _check_derivative_identity(r_max: int, n_max: int, rng: random.Random) -> Iterator[Instance]:
     for r in range(1, r_max + 1):
         for n in range(1, n_max + 1):
-            lhs = n * convolved_closed_form(r, n)
-            prev = convolved_closed_form(r + 1, n - 2) if n >= 2 else ZERO
-            rhs = r * (H * convolved_closed_form(r + 1, n - 1) + 2 * prev)
+            lhs, rhs = derivative_identity_sides(r, n)
             yield f"r={r} n={n}", lhs, rhs
 
 
@@ -348,7 +351,8 @@ def run_suite(
     seed: int = 0,
     _corrupt: str | None = None,
 ) -> SuiteReport:
-    """Run every check; failures are data, not exceptions.
+    """Run every check; failures are data, not exceptions.  A check that
+    raises fails with the exception as its counterexample.
 
     Results are ordered by check_id.  `_corrupt` names a check whose
     first instance gets one coefficient flipped -- the harness

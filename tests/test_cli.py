@@ -91,6 +91,22 @@ def test_table_subst_polynomial_then_at(capsys):
     assert [row[0] for row in table_text_entries(out)] == ["0", "1", "2", "5", "10"]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_table_prints_integers_past_the_default_digit_limit(capsys, fmt):
+    # CPython refuses int <-> str conversions above 4300 digits by default
+    code, out, err = run_cli(
+        capsys, "table", "--r", "1", "--n-max", "2", "--subst", "10^4400", "--format", fmt
+    )
+    assert code == 0, err
+    value = 10**4400
+    if fmt == "text":
+        assert table_text_entries(out)[2] == ["1" + "0" * 4400]
+    else:
+        entry = json.loads(out)["rows"][2][0]
+        assert entry == ["1" + "0" * 4400]
+        assert Poly.from_json(entry) == Poly([value])
+
+
 def test_gf_text(capsys):
     code, out, _ = run_cli(capsys, "gf", "--r", "2", "--terms", "5")
     assert code == 0

@@ -4,6 +4,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hfib import (
     H,
@@ -244,3 +246,37 @@ def test_tpoly_arithmetic_and_rendering():
 def test_tpoly_json():
     cp = char_poly(2)
     assert cp.to_json() == [["1", "0", "1"], ["0", "-2"], ["1"]]
+
+
+small_polys = st.lists(st.integers(min_value=-20, max_value=20), max_size=4).map(Poly)
+tpolys = st.lists(small_polys, max_size=5).map(TPoly)
+
+
+@given(tpolys, tpolys, tpolys)
+def test_tpoly_ring_axioms(p, q, w):
+    assert (p + q) + w == p + (q + w)
+    assert p + q == q + p
+    assert (p * q) * w == p * (q * w)
+    assert p * q == q * p
+    assert p * (q + w) == p * q + p * w
+    assert p + TPoly() == p
+    assert p * TPoly([ONE]) == p
+    assert (p - q) + q == p
+
+
+@given(tpolys, st.integers(min_value=0, max_value=5))
+def test_tpoly_pow_is_repeated_product(p, k):
+    expected = TPoly([ONE])
+    for _ in range(k):
+        expected = expected * p
+    assert p**k == expected
+
+
+def test_tpoly_times_poly_or_int_is_a_scalar_product():
+    p = TPoly([H, Poly([-1]), ONE])  # t^2 - t + h
+    scaled = TPoly([H * H, -H, H])
+    assert p * H == scaled
+    assert H * p == scaled
+    assert p * 3 == TPoly([Poly([0, 3]), Poly([-3]), Poly([3])])
+    assert 3 * p == p * 3
+    assert p * 0 == TPoly()

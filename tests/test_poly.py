@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hfib import H, ONE, ZERO, NotDivisible, Poly, binom
+from hfib import H, ONE, ZERO, NotDivisible, Poly, QuadExt, TPoly, binom
+from hfib.poly import ring_pow
 
 coeff = st.integers(min_value=-(10**6), max_value=10**6)
 polys = st.lists(coeff, max_size=13).map(Poly)
@@ -160,3 +161,27 @@ def test_normalized_invariant(p):
 def test_eval_is_ring_hom(p, x):
     assert (p * H)(x) == p(x) * x
     assert (p + ONE)(x) == p(x) + 1
+
+
+def test_ring_pow_is_square_and_multiply_in_any_ring():
+    assert ring_pow(3, 13, 1) == 3**13
+    assert ring_pow(H, 0, ONE) == ONE
+    assert ring_pow(H + ONE, 3, ONE) == Poly([1, 3, 3, 1])
+
+
+@pytest.mark.parametrize(
+    "value", [H, TPoly([H, ONE]), QuadExt(H, ONE)], ids=["Poly", "TPoly", "QuadExt"]
+)
+def test_negative_exponent_raises(value):
+    with pytest.raises(ValueError):
+        value ** -1
+    with pytest.raises(ValueError):
+        ring_pow(value, -2, value)
+
+
+def test_dense_types_never_compare_equal():
+    # both have the empty coefficient tuple, yet live in different rings
+    assert Poly().coeffs == TPoly().coeffs
+    assert Poly() != TPoly()
+    assert TPoly() != Poly()
+    assert Poly([1]) != TPoly([ONE])

@@ -24,6 +24,7 @@ from hfib import (
     convolved_convolution,
     convolved_recurrence,
     convolved_series,
+    derivative_identity_sides,
     fib,
     fib_combinatorial,
     lucas,
@@ -272,3 +273,21 @@ def test_convolution_route_work_is_quadratic(order, monkeypatch):
     assert calls == (r_max - 1) * length * (length + 1) // 2
     for (r, j), value in got.items():
         assert value == convolved_closed_form(r, j), (r, j)
+
+
+def test_memo_walks_thousands_of_orders_without_recursion():
+    # warm the low levels first; the request then adds levels 3..3000
+    convolved_convolution(2, 2)
+    convolved_recurrence(2, 3)
+    for m in range(3):
+        expected = convolved_closed_form(3000, m)
+        assert convolved_convolution(3000, m) == expected, m
+        assert convolved_recurrence(3000, m + 1) == expected, m
+
+
+def test_derivative_identity_sides():
+    lhs, rhs = derivative_identity_sides(2, 3)
+    assert lhs == rhs == 3 * convolved_closed_form(2, 3)
+    assert derivative_identity_sides(1, 1) == (H, H)
+    with pytest.raises(ValueError):
+        derivative_identity_sides(0, 1)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from golden import TABLE_R123, assert_valid_report_dict
-from hfib import Poly, convolved_table, report_to_dict, run_suite
+from hfib import ONE, Poly, convolved_table, report_to_dict, run_suite
 from hfib.verify import _run_check, check_ids
 
 
@@ -63,6 +63,30 @@ def test_empty_instance_stream_is_marked_skipped():
     assert result.passed
     assert result.params["skipped"] == 1
     assert result.counterexample is None
+
+
+@pytest.mark.parametrize("yield_first", [False, True], ids=["at_start", "after_one"])
+def test_check_that_raises_fails_and_the_suite_runs_on(monkeypatch, yield_first):
+    from hfib import verify as verify_mod
+
+    def exploding(r_max, n_max, rng):
+        if yield_first:
+            yield "first", ONE, ONE
+        raise ZeroDivisionError("boom")
+
+    checks = tuple(
+        (check_id, exploding if check_id == "binet" else generate)
+        for check_id, generate in verify_mod._CHECKS
+    )
+    monkeypatch.setattr(verify_mod, "_CHECKS", checks)
+    report = run_suite(r_max=1, n_max=2)
+    assert [r.check_id for r in report.results] == check_ids()
+    assert not report.all_passed
+    failed = [r for r in report.results if not r.passed]
+    assert [r.check_id for r in failed] == ["binet"]
+    assert failed[0].counterexample == "ZeroDivisionError: boom"
+    assert "skipped" not in failed[0].params
+    assert_valid_report_dict(report_to_dict(report))
 
 
 def test_report_dict_schema():
