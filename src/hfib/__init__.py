@@ -4,7 +4,6 @@ convolutions, and the Hessenberg-determinant identities they satisfy."""
 from .hessenberg import (
     HessMatrix,
     IndexOutOfRange,
-    TPoly,
     build_fib_matrix,
     char_poly,
     charpoly_shift_sides,
@@ -14,7 +13,7 @@ from .hessenberg import (
     sum_principal_minors,
 )
 from .parse import ParseError, parse_poly
-from .poly import H, ONE, ZERO, NotDivisible, Poly, binom
+from .poly import H, ONE, ZERO, NotDivisible, Poly, TPoly, binom
 from .quadext import QuadExt
 from .sequences import (
     binet_scaled,

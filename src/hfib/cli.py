@@ -15,7 +15,7 @@ import sys
 
 from .hessenberg import char_poly
 from .parse import ParseError, parse_poly
-from .poly import Poly
+from .poly import Poly, from_digits
 from .series import convolved_series
 from .verify import convolved_table, report_to_dict, run_suite
 
@@ -201,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
     table.add_argument("--format", choices=FORMATS, default="text")
     table.add_argument("--subst", type=_subst_poly, default=None, metavar="EXPR",
                        help="substitute h with this polynomial (h or x as symbol)")
-    table.add_argument("--at", type=int, default=None, metavar="INT",
+    table.add_argument("--at", type=from_digits, default=None, metavar="INT",
                        help="evaluate entries at this integer after substitution")
     table.set_defaults(func=cmd_table)
 
@@ -227,8 +227,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)  # exact integers print at any size
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -14,69 +14,11 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
-from .poly import H, ONE, ZERO, Dense, Poly, binom
+from .poly import H, ONE, T_ONE, T_ZERO, ZERO, Poly, TPoly, binom
 
 
 class IndexOutOfRange(IndexError):
     """A deletion index list is not strictly increasing inside 1..n."""
-
-
-class TPoly(Dense):
-    """Polynomial in t with Poly coefficients, index = power of t."""
-
-    __slots__ = ()
-
-    _zero = ZERO
-    _one = ONE
-
-    def coefficient(self, power: int) -> Poly:
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
-        return ZERO
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == ONE
-
-    def __str__(self) -> str:
-        """Decreasing powers of t; multi-term Poly coefficients are
-        parenthesized, single terms inlined with the sign pulled out:
-        't^2 - 2ht + (h^2 + 1)'.
-        """
-        if not self.coeffs:
-            return "0"
-        parts: list[str] = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c.is_zero():
-                continue
-            negative = c.coeffs[-1] < 0
-            mag = -c if negative else c
-            terms = sum(1 for x in mag.coeffs if x)
-            if k == 0:
-                body = f"({mag})" if terms > 1 else str(mag)
-            else:
-                t = "t" if k == 1 else f"t^{k}"
-                if mag == ONE:
-                    body = t
-                elif terms > 1:
-                    body = f"({mag}){t}"
-                else:
-                    body = f"{mag}{t}"
-            if not parts:
-                parts.append(f"-{body}" if negative else body)
-            else:
-                parts.append(f" - {body}" if negative else f" + {body}")
-        return "".join(parts)
-
-    def __repr__(self) -> str:
-        return f"TPoly('{self}')"
-
-    def to_json(self) -> list[list[str]]:
-        return [c.to_json() for c in self.coeffs]
-
-
-T_ZERO = TPoly()
-T_ONE = TPoly([ONE])
 
 
 class HessMatrix:

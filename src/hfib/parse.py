@@ -7,7 +7,7 @@ that printed it.
 """
 from __future__ import annotations
 
-from .poly import H, Poly
+from .poly import H, Poly, from_digits
 
 
 class ParseError(ValueError):
@@ -42,11 +42,11 @@ class _Parser:
     def _integer(self) -> int:
         self._skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an integer", start)
-        return int(self.text[start : self.pos])
+        return from_digits(self.text[start : self.pos])
 
     def parse(self) -> Poly:
         value = self._expr()

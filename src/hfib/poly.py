@@ -3,10 +3,12 @@
 A polynomial is a tuple of arbitrary-precision integer coefficients,
 index i holding the coefficient of h^i.  Values are normalized (no
 trailing zero) and immutable; the zero polynomial is the empty tuple
-and its degree is None rather than a fake integer.  The dense
-arithmetic itself lives in Dense, which the t-polynomials of the
-characteristic polynomial share, and ring_pow is the package's one
-square-and-multiply.
+and its degree is None rather than a fake integer.  This module is
+the ring core: Dense holds the dense arithmetic and the rendering loop
+of both Poly and TPoly, the polynomials in t with Poly coefficients of
+the characteristic polynomial; ring_pow is the package's one
+square-and-multiply; to_digits and from_digits convert exact integers
+at any size.
 
 >>> Poly([0, 2, 0, 1])
 Poly('h^3 + 2h')
@@ -21,6 +23,36 @@ from typing import Iterable, Iterator
 
 class NotDivisible(ArithmeticError):
     """Raised when an exact polynomial division leaves a remainder."""
+
+
+def to_digits(n: int) -> str:
+    """Decimal digits of n at any size.
+
+    str() is refused above the interpreter's integer-string limit (4300
+    digits by default); decimal converts without it and is imported
+    only then.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        import decimal
+
+        return str(decimal.Decimal(n))
+
+
+def from_digits(text: str) -> int:
+    """The integer written as ASCII decimal digits with an optional sign,
+    at any size; ValueError for anything else.
+    """
+    body = text[1:] if text[:1] in ("+", "-") else text
+    if not (body.isascii() and body.isdigit()):
+        raise ValueError(f"invalid integer: {text!r}")
+    try:
+        return int(text)
+    except ValueError:  # over the integer-string limit
+        import decimal
+
+        return int(decimal.Decimal(text))
 
 
 def ring_pow(x, k: int, one):
@@ -43,7 +75,8 @@ class Dense:
     """Dense polynomial over a coefficient ring, index i = power i.
 
     Values are normalized (no trailing zero coefficient) and immutable.
-    A subclass names its coefficient ring's 0 and 1 in _zero and _one.
+    A subclass names its coefficient ring's 0 and 1 in _zero and _one,
+    and renders one nonzero term in _term.
     Operands of another type are scalars: they multiply every
     coefficient, unless their own coefficients are of this type, in
     which case they scale this value instead.
@@ -120,6 +153,32 @@ class Dense:
     def __pow__(self, k: int):
         return ring_pow(self, k, type(self)([self._one]))
 
+    def __str__(self) -> str:
+        """Terms in decreasing power, each sign pulled out in front of the
+        body that _term(c, k) -> (negative, body) renders; "0" for zero.
+
+        >>> print(Poly([0, 2, 0, 1]))
+        h^3 + 2h
+        >>> print(Poly([-1, 0, 1]))
+        h^2 - 1
+        >>> print(Poly())
+        0
+        """
+        cs, term = self.coeffs, self._term
+        parts: list[str] = []
+        for k in range(len(cs) - 1, -1, -1):
+            if cs[k]:
+                negative, body = term(cs[k], k)
+                if parts:
+                    parts.append(" - " if negative else " + ")
+                elif negative:
+                    parts.append("-")
+                parts.append(body)
+        return "".join(parts) or "0"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}('{self}')"
+
 
 class Poly(Dense):
     """Dense polynomial in h with integer coefficients."""
@@ -128,13 +187,6 @@ class Poly(Dense):
 
     _zero = 0
     _one = 1
-
-    @staticmethod
-    def monomial(power: int, coeff: int = 1) -> Poly:
-        """coeff * h^power"""
-        if coeff == 0:
-            return ZERO
-        return Poly([0] * power + [coeff])
 
     def compose(self, other: Poly) -> Poly:
         """Substitute h -> other, evaluated by Horner over the ring."""
@@ -176,51 +228,69 @@ class Poly(Dense):
             raise NotDivisible(f"{self} is not divisible by {other}")
         return Poly(out)
 
-    def __str__(self) -> str:
-        """Canonical rendering: decreasing degree, unit coefficients omitted.
-
-        >>> print(Poly([0, 2, 0, 1]))
-        h^3 + 2h
-        >>> print(Poly([-1, 0, 1]))
-        h^2 - 1
-        >>> print(Poly())
-        0
-        """
-        if not self.coeffs:
-            return "0"
-        parts: list[str] = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            else:
-                var = "h" if i == 1 else f"h^{i}"
-                body = var if mag == 1 else f"{mag}{var}"
-            if not parts:
-                parts.append(body if sign == "+" else f"-{body}")
-            else:
-                parts.append(f" {sign} {body}")
-        return "".join(parts)
-
-    def __repr__(self) -> str:
-        return f"Poly('{self}')"
+    def _term(self, c: int, k: int) -> tuple[bool, str]:
+        """c*h^k with the sign of c pulled out and a unit c omitted."""
+        mag = -c if c < 0 else c
+        if k == 0:
+            return c < 0, to_digits(mag)
+        var = "h" if k == 1 else f"h^{k}"
+        return c < 0, var if mag == 1 else to_digits(mag) + var
 
     def to_json(self) -> list[str]:
         """Coefficients as decimal strings, index = degree."""
-        return [str(c) for c in self.coeffs]
+        return [to_digits(c) for c in self.coeffs]
 
     @staticmethod
     def from_json(data: list[str]) -> Poly:
-        return Poly([int(s) for s in data])
+        return Poly([from_digits(s) for s in data])
 
 
 ZERO = Poly()
 ONE = Poly([1])
 H = Poly([0, 1])
+
+
+class TPoly(Dense):
+    """Polynomial in t with Poly coefficients, index = power of t.
+
+    Not a Poly subclass: it is a different ring, and Poly's own
+    operations stay countable apart from it.
+    """
+
+    __slots__ = ()
+
+    _zero = ZERO
+    _one = ONE
+
+    def coefficient(self, power: int) -> Poly:
+        if 0 <= power < len(self.coeffs):
+            return self.coeffs[power]
+        return ZERO
+
+    def is_monic(self) -> bool:
+        return bool(self.coeffs) and self.coeffs[-1] == ONE
+
+    def _term(self, c: Poly, k: int) -> tuple[bool, str]:
+        """c*t^k with the sign of c's leading coefficient pulled out; a
+        multi-term c is parenthesized and a unit c omitted, as in
+        't^2 - 2ht + (h^2 + 1)'.
+        """
+        negative = c.coeffs[-1] < 0
+        mag = -c if negative else c
+        body = str(mag)
+        if " " in body:  # only a rendering of two or more terms has spaces
+            body = f"({body})"
+        if k == 0:
+            return negative, body
+        t = "t" if k == 1 else f"t^{k}"
+        return negative, t if mag == ONE else body + t
+
+    def to_json(self) -> list[list[str]]:
+        return [c.to_json() for c in self.coeffs]
+
+
+T_ZERO = TPoly()
+T_ONE = TPoly([ONE])
 
 
 def binom(n: int, k: int) -> int:

@@ -24,7 +24,7 @@ _fib: list[Poly] = [ZERO, ONE]
 _lucas: list[Poly] = [Poly([2]), H]
 # _conv[r] is the prefix of the r-fold self-convolution of (fib(1), fib(2), ...)
 _conv: dict[int, list[Poly]] = {}
-# _rec[r][n] holds the recurrence route; row 0 is the convolution unit.
+# _rec[r][n] holds the recurrence route for r >= 1.
 _rec: dict[int, list[Poly]] = {}
 
 
@@ -84,38 +84,30 @@ def convolved_closed_form(r: int, j: int) -> Poly:
     return Poly(coeffs)
 
 
-def _conv_prefix(r: int, length: int) -> list[Poly]:
-    """Prefix of the r-fold self-convolution of (fib(1), fib(2), ...).
+def _conv_term(r: int, m: int) -> Poly:
+    """Term m of the r-fold self-convolution of (fib(1), fib(2), ...).
 
     Levels 1..r are walked in turn, so any r works without recursion.
-    _conv[level] only grows: a request computes just the missing terms
-    m = have..length-1, each as sum of lower[i] * base[m-i] from level
-    level-1, which was extended to the same length first.  Reaching
-    length L thus costs L(L+1)/2 Poly products per level 2..r, whatever
-    order the lengths are asked in.  The products run outside the lock
-    (fib takes it); a thread that loses a race to extend the table drops
-    the terms another thread already appended, which are equal.
+    _conv[level] only grows, under the lock: a request computes just the
+    missing terms n = len(_conv[level])..m, each as sum of lower[i] *
+    base[n-i] from level level-1, which was extended to the same length
+    first.  Reaching length L thus costs L(L+1)/2 Poly products per
+    level 2..r, whatever order the terms are asked in.
     """
-    lower: list[Poly] = []
-    for level in range(1, r + 1):
+    if len(_conv.get(r, ())) <= m:
+        # fib takes _lock, which is not reentrant, so the base comes first
+        base = [fib(i + 1) for i in range(m + 1)]
         with _lock:
-            prefix = _conv.setdefault(level, [])
-            have = len(prefix)
-        if have < length:
-            if level == 1:
-                fresh = [fib(m + 1) for m in range(have, length)]
-            else:
-                base = [fib(i + 1) for i in range(length)]
-                fresh = []
-                for m in range(have, length):
+            prefix = _conv.setdefault(1, [])
+            prefix.extend(base[len(prefix):])
+            for level in range(2, r + 1):
+                lower, prefix = prefix, _conv.setdefault(level, [])
+                for n in range(len(prefix), m + 1):
                     acc = ZERO
-                    for i in range(m + 1):
-                        acc = acc + lower[i] * base[m - i]
-                    fresh.append(acc)
-            with _lock:
-                prefix.extend(fresh[len(prefix) - have:])
-        lower = prefix
-    return prefix[:length]
+                    for i in range(n + 1):
+                        acc = acc + lower[i] * base[n - i]
+                    prefix.append(acc)
+    return _conv[r][m]
 
 
 def convolved_convolution(r: int, m: int) -> Poly:
@@ -130,20 +122,17 @@ def convolved_convolution(r: int, m: int) -> Poly:
         raise ValueError("r must be >= 1")
     if m < 0:
         raise ValueError("m must be >= 0")
-    return _conv_prefix(r, m + 1)[m]
+    return _conv_term(r, m)
 
 
 def _rec_row(r: int, n: int) -> list[Poly]:
     """Row r of the recurrence memo, at least n + 1 long; the caller
-    holds the lock.  Rows 0..r are extended in turn, without recursion.
+    holds the lock.  Row 0, the convolution unit, is built here; rows
+    1..r are extended in turn, without recursion.
     """
-    row = _rec.get(r)
-    if row is not None and len(row) > n:
-        return row
-    below = _rec.get(0)
-    if below is None or len(below) <= n:
-        # the convolution unit: 1 at index 1, 0 elsewhere
-        below = _rec[0] = [ZERO, ONE] + [ZERO] * max(0, n - 1)
+    if len(_rec.get(r, ())) > n:
+        return _rec[r]
+    below = [ZERO, ONE] + [ZERO] * max(0, n - 1)  # row 0, the convolution unit
     for level in range(1, r + 1):
         row = _rec.setdefault(level, [ZERO, ONE])
         while len(row) <= n:
@@ -206,8 +195,6 @@ def lucas_decomposition_sides(r: int, j: int) -> tuple[Poly, Poly]:
     rhs = ZERO
     for l in range(r):
         weight = binom(r + l - 1, l) * binom(r - l + j - 1, j)
-        if weight == 0:
-            continue
         if (r + l) % 2 == 0:
             term = DISC ** (r - 1 - (r + l) // 2) * lucas(r + j - l)
         else:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .poly import H, ONE, ZERO, Poly
+from .poly import H, ONE, ZERO, Poly, TPoly
 
 
 class OrderMismatch(ValueError):
@@ -64,24 +64,16 @@ class Series:
         return Series([a + b for a, b in zip(self.coeffs, other.coeffs)], self.order)
 
     def __sub__(self, other: Series) -> Series:
-        self._check_order(other)
-        return Series([a - b for a, b in zip(self.coeffs, other.coeffs)], self.order)
+        return self + (-other)
 
     def __neg__(self) -> Series:
         return Series([-c for c in self.coeffs], self.order)
 
     def __mul__(self, other: Series) -> Series:
+        """Product truncated to the common order, as t-polynomials."""
         self._check_order(other)
-        n = self.order
-        out = [ZERO] * n
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j in range(n - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return Series(out, n)
+        product = TPoly(self.coeffs) * TPoly(other.coeffs)
+        return Series(product.coeffs[: self.order], self.order)
 
     def inverse(self) -> Series:
         """Multiplicative inverse at the same order.

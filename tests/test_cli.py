@@ -107,6 +107,21 @@ def test_table_prints_integers_past_the_default_digit_limit(capsys, fmt):
         assert Poly.from_json(entry) == Poly([value])
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no integer-string limit here"
+)
+def test_main_leaves_the_integer_string_limit_alone(capsys):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run_cli(capsys, "table", "--r", "1", "--n-max", "2", "--at", "9" * 4401)
+        assert code == 0, err
+        assert table_text_entries(out)[2] == ["9" * 4401]  # h at h = 99...9
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
 def test_gf_text(capsys):
     code, out, _ = run_cli(capsys, "gf", "--r", "2", "--terms", "5")
     assert code == 0

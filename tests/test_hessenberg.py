@@ -243,6 +243,16 @@ def test_tpoly_arithmetic_and_rendering():
     assert TPoly([ONE, ONE]) ** 2 == TPoly([ONE, Poly([2]), ONE])
 
 
+def test_tpoly_rendering_pulls_signs_and_parenthesizes():
+    assert str(TPoly([Poly([-1, 0, -1]), ONE])) == "t - (h^2 + 1)"
+    assert str(TPoly([Poly([3, -2])])) == "-(2h - 3)"
+    assert str(TPoly([ZERO, Poly([1, 1]), H])) == "ht^2 + (h + 1)t"
+    assert str(TPoly([ZERO, ZERO, ZERO, -ONE])) == "-t^3"
+    assert str(TPoly([Poly([-5]), ONE, ONE])) == "t^2 + t - 5"
+    assert repr(TPoly()) == "TPoly('0')"
+    assert repr(Poly([1, 1])) == "Poly('h + 1')"
+
+
 def test_tpoly_json():
     cp = char_poly(2)
     assert cp.to_json() == [["1", "0", "1"], ["0", "-2"], ["1"]]

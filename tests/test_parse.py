@@ -42,7 +42,8 @@ def test_whitespace_tolerance():
 
 
 def test_errors():
-    for bad in ["", "h^", "h +", "(h", "h)", "y", "h^-2", "*h", "h^(2)"]:
+    # integers are ASCII digits only: not a superscript or an Arabic-Indic 3
+    for bad in ["", "h^", "h +", "(h", "h)", "y", "h^-2", "*h", "h^(2)", "h^\u00b2", "\u0663h"]:
         with pytest.raises(ParseError):
             parse_poly(bad)
 

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hfib import H, ONE, ZERO, NotDivisible, Poly, QuadExt, TPoly, binom
-from hfib.poly import ring_pow
+from hfib.poly import from_digits, ring_pow, to_digits
 
 coeff = st.integers(min_value=-(10**6), max_value=10**6)
 polys = st.lists(coeff, max_size=13).map(Poly)
@@ -95,6 +98,36 @@ def test_json_round_trip():
     assert data == ["12345678901234567890", "-3", "0", "1"]
     assert Poly.from_json(data) == p
     assert ZERO.to_json() == []
+
+
+def test_digits_round_trip_at_any_size():
+    for n in (0, 7, -7, 10**4400 + 7, -(10**5000) + 1):
+        assert from_digits(to_digits(n)) == n
+    assert from_digits("+12") == 12
+    assert from_digits("-0") == 0
+
+
+@pytest.mark.parametrize("text", ["", "+", "-", "--5", " 5", "5 ", "1_000", "1e3", "0x1f", "\u0663"])
+def test_from_digits_takes_only_ascii_digits_with_a_sign(text):
+    with pytest.raises(ValueError):
+        from_digits(text)
+
+
+def test_exact_past_the_default_digit_limit_in_a_fresh_interpreter():
+    # a fresh interpreter has CPython's default 4300-digit integer-string
+    # limit, which no hfib call may need lifted
+    script = """
+from hfib import Poly, parse_poly
+value = 10**4400 + 7
+digits = "1" + "0" * 4399 + "7"
+assert str(Poly([-value, 1])) == "h - " + digits
+assert str(Poly([0, value])) == digits + "h"
+assert Poly([-value, 0, 1]).to_json() == ["-" + digits, "0", "1"]
+assert Poly.from_json(["-" + digits, "3"]) == Poly([-value, 3])
+assert parse_poly(digits + "h - 2") == Poly([-2, value])
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_immutable():

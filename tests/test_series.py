@@ -56,6 +56,57 @@ def power_by_products(a, k):
     return out
 
 
+def truncated_product(a, b):
+    """Oracle product: coefficient n sums a[i] * b[n-i] for n below the order."""
+    out = [ZERO] * a.order
+    for n in range(a.order):
+        for i in range(n + 1):
+            out[n] = out[n] + a.coeffs[i] * b.coeffs[n - i]
+    return Series(out, a.order)
+
+
+# zero coefficients are common, so zero series and trailing zeros are too
+maybe_zero_poly = st.one_of(
+    st.just(ZERO), st.lists(st.integers(min_value=-9, max_value=9), max_size=3).map(Poly)
+)
+
+
+def series_of_order(order):
+    return st.lists(maybe_zero_poly, max_size=order).map(lambda cs: Series(cs, order))
+
+
+series_pairs = st.integers(min_value=1, max_value=10).flatmap(
+    lambda order: st.tuples(series_of_order(order), series_of_order(order))
+)
+
+
+@given(series_pairs)
+@example((Series([], 4), Series([ONE, H], 4)))
+@example((Series([H, ZERO, ZERO], 3), Series([ONE, -H, ZERO], 3)))
+@settings(max_examples=80, deadline=None)
+def test_mul_matches_truncated_product(pair):
+    a, b = pair
+    assert a * b == truncated_product(a, b)
+    assert a * b == b * a
+
+
+@given(series_pairs)
+@settings(max_examples=40, deadline=None)
+def test_sub_and_neg(pair):
+    a, b = pair
+    assert -a == Series([-c for c in a.coeffs], a.order)
+    assert -(-a) == a
+    assert a - b == Series([x - y for x, y in zip(a.coeffs, b.coeffs)], a.order)
+    assert (a - b) + b == a
+    assert a - a == Series([], a.order)
+
+
+def test_sub_checks_order():
+    with pytest.raises(OrderMismatch):
+        Series([ONE], 2) - Series([ONE], 3)
+    assert Series([ONE, H], 3) - Series([H], 3) == Series([ONE - H, H], 3)
+
+
 def test_mul_truncates():
     a = Series([ONE, ONE], 3)  # 1 + t
     b = Series([ONE, -ONE], 3)  # 1 - t
