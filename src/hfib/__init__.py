@@ -17,7 +17,6 @@ from .poly import H, ONE, ZERO, NotDivisible, Poly, TPoly, binom
 from .quadext import QuadExt
 from .sequences import (
     binet_scaled,
-    check_derivative_identity,
     convolved_closed_form,
     convolved_convolution,
     convolved_recurrence,
@@ -53,7 +52,6 @@ __all__ = [
     "build_fib_matrix",
     "char_poly",
     "charpoly_shift_sides",
-    "check_derivative_identity",
     "convolved_closed_form",
     "convolved_convolution",
     "convolved_recurrence",

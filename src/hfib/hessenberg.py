@@ -37,8 +37,8 @@ class HessMatrix:
         for i, row in enumerate(entries):
             if len(row) != n:
                 raise ValueError("matrix must be square")
-            for j in range(len(row)):
-                if i > j + 1 and not row[j].is_zero():
+            for j in range(i - 1):
+                if row[j]:
                     raise ValueError(
                         f"entry ({i + 1},{j + 1}) below the subdiagonal is nonzero"
                     )
@@ -48,12 +48,6 @@ class HessMatrix:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("HessMatrix is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, HessMatrix) and self.entries == other.entries
-
-    def __str__(self) -> str:
-        return "\n".join("\t".join(str(e) for e in row) for row in self.entries)
 
 
 def _hess_det_generic(rows, zero, one):

@@ -17,12 +17,14 @@ class ParseError(ValueError):
 
 
 _SYMBOLS = ("h", "x")
+MAX_DEPTH = 100  # deepest parenthesis nesting and longest sign run; bounds the stack
 
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def _skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -76,14 +78,13 @@ class _Parser:
                 return value
 
     def _unary(self) -> Poly:
-        ch = self._peek()
-        if ch == "-":
-            self._take()
-            return -self._unary()
-        if ch == "+":
-            self._take()
-            return self._unary()
-        return self._power()
+        signs = ""
+        while self._peek() in ("+", "-"):
+            signs += self._take()
+            if len(signs) > MAX_DEPTH:
+                raise ParseError(f"more than {MAX_DEPTH} signs in a row", self.pos)
+        value = self._power()
+        return -value if signs.count("-") % 2 else value
 
     def _power(self) -> Poly:
         base = self._atom()
@@ -99,11 +100,15 @@ class _Parser:
         if ch is None:
             raise ParseError("unexpected end of input", self.pos)
         if ch == "(":
+            if self.depth == MAX_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {MAX_DEPTH}", self.pos)
             self._take()
+            self.depth += 1
             value = self._expr()
             if self._peek() != ")":
                 raise ParseError("expected ')'", self.pos)
             self._take()
+            self.depth -= 1
             return value
         if ch in _SYMBOLS:
             self._take()

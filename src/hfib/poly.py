@@ -18,7 +18,7 @@ Poly('h^2 + 1')
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class NotDivisible(ArithmeticError):
@@ -102,9 +102,6 @@ class Dense:
         """Degree of the leading term; None for the zero polynomial."""
         return len(self.coeffs) - 1 if self.coeffs else None
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -113,9 +110,6 @@ class Dense:
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
-
-    def __iter__(self) -> Iterator:
-        return iter(self.coeffs)
 
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs
@@ -201,9 +195,6 @@ class Poly(Dense):
         for c in reversed(self.coeffs):
             result = result * x + c
         return result
-
-    def derivative(self) -> Poly:
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def exact_div(self, other: Poly) -> Poly:
         """Quotient d with self = other * d; NotDivisible if no such d."""

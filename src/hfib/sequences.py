@@ -172,12 +172,6 @@ def derivative_identity_sides(r: int, n: int) -> tuple[Poly, Poly]:
     return lhs, rhs
 
 
-def check_derivative_identity(r: int, n: int) -> bool:
-    """True iff the derivative identity holds exactly at (r, n)."""
-    lhs, rhs = derivative_identity_sides(r, n)
-    return lhs == rhs
-
-
 def lucas_decomposition_sides(r: int, j: int) -> tuple[Poly, Poly]:
     """Both sides of the Fibonacci/Lucas decomposition of F(r, j+1),
     multiplied by (h^2+4)^(r-1) so the identity lives in Z[h].

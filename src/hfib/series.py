@@ -26,10 +26,8 @@ class Series:
     order: int
     coeffs: tuple[Poly, ...]
 
-    def __init__(self, coeffs: Iterable[Poly], order: int | None = None):
+    def __init__(self, coeffs: Iterable[Poly], order: int):
         cs = list(coeffs)
-        if order is None:
-            order = len(cs)
         if order < 1:
             raise ValueError("order must be positive")
         if len(cs) > order:
@@ -40,10 +38,6 @@ class Series:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Series is immutable")
-
-    @staticmethod
-    def one(order: int) -> Series:
-        return Series([ONE], order)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -75,13 +69,6 @@ class Series:
         product = TPoly(self.coeffs) * TPoly(other.coeffs)
         return Series(product.coeffs[: self.order], self.order)
 
-    def inverse(self) -> Series:
-        """Multiplicative inverse at the same order.
-
-        The constant coefficient must be 1 or -1 (the units of Z[h]).
-        """
-        return self ** -1
-
     def __pow__(self, k: int) -> Series:
         """self^k at the same order, for any integer k.
 
@@ -102,7 +89,7 @@ class Series:
         if k < 0 and a[0].coeffs not in ((1,), (-1,)):
             raise NotInvertible(f"constant coefficient {a[0]} is not a unit")
         if k == 0:
-            return Series.one(order)
+            return Series([ONE], order)
         low = next((i for i, c in enumerate(a) if c), order)
         if low:  # k > 0: a = t^low * c with c[0] != 0, so a^k = t^(low*k) * c^k
             shift = low * k
@@ -124,25 +111,8 @@ class Series:
             b.append(acc.exact_div(a0 * n))
         return Series(b, order)
 
-    def derivative(self) -> Series:
-        """Term-wise d/dt, keeping the order.
-
-        The top coefficient is unknowable after truncation and is stored
-        as zero; comparisons involving derivatives should stop at index
-        order - 2.
-        """
-        out = [(j + 1) * self.coeffs[j + 1] for j in range(self.order - 1)]
-        out.append(ZERO)
-        return Series(out, self.order)
-
-    def __str__(self) -> str:
-        return " + ".join(f"({c})t^{j}" for j, c in enumerate(self.coeffs))
-
     def __repr__(self) -> str:
         return f"Series({list(self.coeffs)!r}, order={self.order})"
-
-    def to_json(self) -> list[list[str]]:
-        return [c.to_json() for c in self.coeffs]
 
 
 def fib_kernel(order: int) -> Series:

@@ -114,7 +114,7 @@ def _naive_det(rows: list[list[Poly]]) -> Poly:
         return rows[0][0]
     total = ZERO
     for i in range(n):
-        if rows[i][0].is_zero():
+        if not rows[i][0]:
             continue
         minor = [row[1:] for k, row in enumerate(rows) if k != i]
         term = rows[i][0] * _naive_det(minor)
@@ -360,6 +360,8 @@ def run_suite(
         raise ValueError("n_max must be >= 2")
     if seed < 0:
         raise ValueError("seed must be >= 0")
+    if _corrupt is not None and _corrupt not in check_ids():
+        raise ValueError(f"no check named {_corrupt!r}")
     results = []
     for check_id, generate in sorted(_CHECKS):
         rng = random.Random(f"{seed}:{check_id}")

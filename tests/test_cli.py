@@ -239,6 +239,24 @@ def test_usage_errors_exit_two(capsys):
         assert "usage" in err.lower(), argv
 
 
+@pytest.mark.parametrize("expr", ["(" * 2000 + "h" + ")" * 2000, "-" * 1500 + "h"],
+                         ids=["parentheses", "signs"])
+def test_deep_subst_is_refused_without_a_traceback(expr):
+    proc = subprocess.run(
+        [sys.executable, "-m", "hfib", "table", "--r", "1", "--n-max", "2", f"--subst={expr}"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    # argparse's usage lines, then the one-line refusal
+    refusal = [line for line in proc.stderr.splitlines() if not line.startswith(("usage:", " "))]
+    assert len(refusal) == 1
+    assert refusal[0].startswith("hfib table: error: argument --subst: bad polynomial")
+
+
 def test_remaining_format_paths(capsys):
     code, out, _ = run_cli(capsys, "gf", "--r", "2", "--terms", "3", "--format", "csv")
     assert code == 0

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hfib import H, ONE, ParseError, Poly, parse_poly
+from hfib.parse import MAX_DEPTH
 
 
 def test_constants():
@@ -46,6 +47,29 @@ def test_errors():
     for bad in ["", "h^", "h +", "(h", "h)", "y", "h^-2", "*h", "h^(2)", "h^\u00b2", "\u0663h"]:
         with pytest.raises(ParseError):
             parse_poly(bad)
+
+
+def test_nesting_is_bounded():
+    assert parse_poly("(" * MAX_DEPTH + "h" + ")" * MAX_DEPTH) == H
+    for depth in (MAX_DEPTH + 1, 2000):
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_poly("(" * depth + "h" + ")" * depth)
+
+
+def test_sign_runs_are_bounded():
+    assert parse_poly("-" * MAX_DEPTH + "h") == H
+    assert parse_poly("-" * (MAX_DEPTH - 1) + "h") == -H
+    with pytest.raises(ParseError, match="signs in a row"):
+        parse_poly("-" * 1500 + "h")
+
+
+def test_signs_and_nesting_keep_their_values():
+    assert parse_poly("--h^2") == Poly([0, 0, 1])
+    assert parse_poly("-+-h") == H
+    assert parse_poly("- -h") == H
+    assert parse_poly("-h^2") == Poly([0, 0, -1])
+    assert parse_poly("h*-h") == Poly([0, 0, -1])
+    assert parse_poly("h(h(h+1))") == Poly([0, 0, 1, 1])
 
 
 def test_error_carries_position():

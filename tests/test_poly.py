@@ -62,12 +62,6 @@ def test_eval_int_examples():
     assert Poly([0, 2])(3) == 6
 
 
-def test_derivative_examples():
-    assert Poly([0, 2, 0, 1]).derivative() == Poly([2, 0, 3])
-    assert Poly([9]).derivative() == ZERO
-    assert Poly([4, 0, 1]).derivative() == Poly([0, 2])
-
-
 def test_exact_div_examples():
     assert Poly([0, 1, 0, 1]).exact_div(Poly([1, 0, 1])) == H
     disc = Poly([4, 0, 1])
@@ -174,8 +168,8 @@ def test_mul_then_exact_div_round_trips(p, q):
 
 @given(polys, nonzero_polys)
 def test_degree_of_product(p, q):
-    if p.is_zero():
-        assert (p * q).is_zero()
+    if not p:
+        assert not p * q
     else:
         assert (p * q).degree == p.degree + q.degree
 

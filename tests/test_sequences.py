@@ -19,7 +19,6 @@ from hfib import (
     H,
     ONE,
     Poly,
-    check_derivative_identity,
     convolved_closed_form,
     convolved_convolution,
     convolved_recurrence,
@@ -119,19 +118,24 @@ def test_second_entry_is_linear():
         assert convolved_closed_form(r, 1) == r * H, r
 
 
+def derivative_identity_holds(r, n):
+    lhs, rhs = derivative_identity_sides(r, n)
+    return lhs == rhs
+
+
 def test_derivative_identity_examples():
-    assert check_derivative_identity(1, 1)
+    assert derivative_identity_holds(1, 1)
     # both sides at r=2, n=3 equal 12h^3 + 18h
     assert 3 * convolved_closed_form(2, 3) == Poly([0, 18, 0, 12])
     assert 2 * (H * Poly([3, 0, 6]) + 2 * Poly([0, 3])) == Poly([0, 18, 0, 12])
-    assert check_derivative_identity(2, 3)
-    assert check_derivative_identity(5, 20)
+    assert derivative_identity_holds(2, 3)
+    assert derivative_identity_holds(5, 20)
 
 
 def test_derivative_identity_sweep():
     for r in range(1, 6):
         for n in range(1, 31):
-            assert check_derivative_identity(r, n), (r, n)
+            assert derivative_identity_holds(r, n), (r, n)
 
 
 def test_decomposition_hand_cases():
@@ -193,7 +197,7 @@ def test_argument_validation():
     with pytest.raises(ValueError):
         convolved_recurrence(0, 3)
     with pytest.raises(ValueError):
-        check_derivative_identity(1, 0)
+        derivative_identity_sides(1, 0)
     with pytest.raises(ValueError):
         lucas_decomposition_sides(0, 0)
 

@@ -35,6 +35,19 @@ def series_with_constant(constant, max_order=32):
     )
 
 
+def one(order):
+    return Series([ONE], order)
+
+
+def derivative(a):
+    """Term-wise d/dt at the same order.  The top coefficient is unknowable
+    after truncation and is stored as zero, so comparisons stop at index
+    order - 2.
+    """
+    out = [(j + 1) * a.coeffs[j + 1] for j in range(a.order - 1)]
+    return Series(out + [ZERO], a.order)
+
+
 def inverse_by_division(a):
     """Oracle inverse: solve a * x = 1 one coefficient at a time."""
     u = a.coeffs[0].coeffs[0]
@@ -50,7 +63,7 @@ def inverse_by_division(a):
 def power_by_products(a, k):
     """Oracle power: |k| repeated products of a, or of its inverse."""
     base = a if k >= 0 else inverse_by_division(a)
-    out = Series.one(a.order)
+    out = one(a.order)
     for _ in range(abs(k)):
         out = out * base
     return out
@@ -115,7 +128,7 @@ def test_mul_truncates():
 
 def test_mul_identity():
     a = Series([H, Poly([2, 1]), ONE], 3)
-    assert a * Series.one(3) == a
+    assert a * one(3) == a
 
 
 def test_mul_order_mismatch():
@@ -124,37 +137,37 @@ def test_mul_order_mismatch():
 
 
 def test_self_product_of_sequence_gf():
-    inv = fib_kernel(4).inverse()
+    inv = fib_kernel(4) ** -1
     sq = inv * inv
     assert list(sq.coeffs) == poly_list([[1], [0, 2], [2, 0, 3], [0, 6, 0, 4]])
 
 
 def test_inverse_of_kernel():
-    inv = fib_kernel(4).inverse()
+    inv = fib_kernel(4) ** -1
     assert list(inv.coeffs) == poly_list([[1], [0, 1], [1, 0, 1], [0, 2, 0, 1]])
 
 
 def test_inverse_of_unit():
-    assert Series.one(5).inverse() == Series.one(5)
+    assert one(5) ** -1 == one(5)
 
 
 def test_inverse_requires_unit_constant():
     with pytest.raises(NotInvertible):
-        Series([Poly([2]), ONE], 2).inverse()
+        Series([Poly([2]), ONE], 2) ** -1
     with pytest.raises(NotInvertible):
-        Series([H, ONE], 2).inverse()
+        Series([H, ONE], 2) ** -1
 
 
 def test_negative_unit_constant_inverts():
     a = Series([-ONE, H], 6)
-    assert a * a.inverse() == Series.one(6)
+    assert a * a**-1 == one(6)
 
 
 def test_pow_examples():
     sq = fib_kernel(3) ** -2
     assert list(sq.coeffs) == poly_list([[1], [0, 2], [2, 0, 3]])
     a = Series([ONE, H], 4)
-    assert a**0 == Series.one(4)
+    assert a**0 == one(4)
 
 
 def test_pow_negative_matches_squared_inverse():
@@ -164,14 +177,14 @@ def test_pow_negative_matches_squared_inverse():
 
 def test_derivative_termwise():
     a = Series([ONE, H, Poly([1, 0, 1])], 3)
-    assert a.derivative() == Series([H, Poly([2, 0, 2]), ZERO], 3)
-    assert Series.one(4).derivative() == Series([ZERO], 4)
+    assert derivative(a) == Series([H, Poly([2, 0, 2]), ZERO], 3)
+    assert derivative(one(4)) == Series([ZERO], 4)
 
 
 def test_derivative_of_inverse_kernel():
     # d/dt of the order-1 expansion equals (h + 2t) times the order-2
     # expansion, on the indices the truncation leaves trustworthy
-    lhs = (fib_kernel(6) ** -1).derivative()
+    lhs = derivative(fib_kernel(6) ** -1)
     rhs = Series([H, Poly([2])], 5) * (fib_kernel(5) ** -2)
     assert list(lhs.coeffs)[:5] == list(rhs.coeffs)[:5]
 
@@ -216,7 +229,7 @@ def test_validation():
 @given(series_with_constant(UNITS))
 @settings(max_examples=60, deadline=None)
 def test_inverse_round_trip(a):
-    assert a * a.inverse() == Series.one(a.order)
+    assert a * a**-1 == one(a.order)
 
 
 @given(series_with_constant(UNITS, max_order=12),
@@ -232,8 +245,8 @@ def test_pow_additive(a, j, k):
 def test_leibniz_rule(a, b):
     if a.order != b.order:
         b = Series(b.coeffs[: a.order], a.order) if b.order > a.order else Series(b.coeffs, a.order)
-    lhs = (a * b).derivative()
-    rhs = a.derivative() * b + a * b.derivative()
+    lhs = derivative(a * b)
+    rhs = derivative(a) * b + a * derivative(b)
     assert list(lhs.coeffs)[: a.order - 1] == list(rhs.coeffs)[: a.order - 1]
 
 

@@ -58,6 +58,11 @@ def test_corruption_hook_fails_every_check(check_id):
     assert failed == [check_id]
 
 
+def test_corruption_hook_refuses_an_unknown_check():
+    with pytest.raises(ValueError, match="five-way"):
+        run_suite(r_max=1, n_max=2, _corrupt="five-way")
+
+
 def test_empty_instance_stream_is_marked_skipped():
     result = _run_check("nothing", {"n_max": 0}, [], False)
     assert result.passed
