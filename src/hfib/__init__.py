@@ -22,7 +22,6 @@ from .sequences import (
     convolved_recurrence,
     derivative_identity_sides,
     fib,
-    fib_combinatorial,
     lucas,
     lucas_decomposition_sides,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "convolved_table",
     "derivative_identity_sides",
     "fib",
-    "fib_combinatorial",
     "hess_det",
     "lucas",
     "lucas_decomposition_sides",

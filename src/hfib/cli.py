@@ -8,8 +8,6 @@ invocations; the only timing field lives in verify reports.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 
@@ -57,7 +55,8 @@ def _subst_poly(text: str) -> Poly:
     try:
         return parse_poly(text)
     except ParseError as exc:
-        raise argparse.ArgumentTypeError(f"bad polynomial {text!r}: {exc}")
+        shown = repr(text[:40]) + ("..." if len(text) > 40 else "")
+        raise argparse.ArgumentTypeError(f"bad polynomial {shown}: {exc}")
 
 
 def _latex_escape(text: str) -> str:
@@ -65,9 +64,8 @@ def _latex_escape(text: str) -> str:
 
 
 def _csv_line(fields: list[str]) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="").writerow(fields)
-    return buf.getvalue()
+    # integers, true/false, check ids and Poly renderings hold no comma, quote, CR or LF
+    return ",".join(fields)
 
 
 def cmd_table(args: argparse.Namespace) -> int:

@@ -38,9 +38,6 @@ class QuadExt:
     def __sub__(self, other: QuadExt) -> QuadExt:
         return QuadExt(self.a - other.a, self.b - other.b)
 
-    def __neg__(self) -> QuadExt:
-        return QuadExt(-self.a, -self.b)
-
     def __mul__(self, other: QuadExt) -> QuadExt:
         # (a1 + b1 s)(a2 + b2 s) = (a1 a2 + b1 b2 (h^2+4)) + (a1 b2 + a2 b1) s
         return QuadExt(

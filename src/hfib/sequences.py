@@ -49,16 +49,6 @@ def lucas(n: int) -> Poly:
     return _memo(_lucas, n)
 
 
-def fib_combinatorial(n: int) -> Poly:
-    """fib(n) by direct summation of binomial diagonal terms, n >= 1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    coeffs = [0] * n
-    for i in range((n - 1) // 2 + 1):
-        coeffs[n - 1 - 2 * i] = binom(n - 1 - i, i)
-    return Poly(coeffs)
-
-
 def binet_scaled(n: int) -> tuple[QuadExt, QuadExt]:
     """Denominator-free root forms ((h+s)^n - (h-s)^n, (h+s)^n + (h-s)^n).
 

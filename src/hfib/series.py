@@ -53,16 +53,6 @@ class Series:
         if self.order != other.order:
             raise OrderMismatch(f"order {self.order} vs {other.order}")
 
-    def __add__(self, other: Series) -> Series:
-        self._check_order(other)
-        return Series([a + b for a, b in zip(self.coeffs, other.coeffs)], self.order)
-
-    def __sub__(self, other: Series) -> Series:
-        return self + (-other)
-
-    def __neg__(self) -> Series:
-        return Series([-c for c in self.coeffs], self.order)
-
     def __mul__(self, other: Series) -> Series:
         """Product truncated to the common order, as t-polynomials."""
         self._check_order(other)

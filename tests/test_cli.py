@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -255,6 +257,32 @@ def test_deep_subst_is_refused_without_a_traceback(expr):
     refusal = [line for line in proc.stderr.splitlines() if not line.startswith(("usage:", " "))]
     assert len(refusal) == 1
     assert refusal[0].startswith("hfib table: error: argument --subst: bad polynomial")
+    assert max(len(line) for line in proc.stderr.splitlines()) <= 200
+
+
+def test_subst_refusal_quotes_at_most_a_prefix(capsys):
+    assert main(["table", "--subst", "h^-2"]) == 2
+    assert "bad polynomial 'h^-2': negative exponents" in capsys.readouterr().err
+    assert main(["table", "--subst", "h+" * 30 + "?"]) == 2
+    err = capsys.readouterr().err
+    assert f"bad polynomial {'h+' * 20!r}...: unexpected character '?' (at position 60)" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--r", "1,4", "--n-max", "12", "--subst", "-(2h - 3)^2"],
+    ["table", "--subst", "h - 7", "--at", "-3"],
+    ["gf", "--r", "3", "--terms", "9"],
+    ["charpoly", "--n", "9"],
+    ["verify", "--r-max", "1", "--n-max", "2"],
+])
+def test_csv_fields_never_need_quoting(capsys, argv):
+    # plain comma joins are what csv.writer would write
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    for line in out.splitlines():
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="").writerow(line.split(","))
+        assert buf.getvalue() == line
 
 
 def test_remaining_format_paths(capsys):

@@ -25,7 +25,6 @@ from hfib import (
     convolved_series,
     derivative_identity_sides,
     fib,
-    fib_combinatorial,
     lucas,
     lucas_decomposition_sides,
 )
@@ -47,16 +46,15 @@ def test_lucas_values():
 
 
 def test_fib_combinatorial_examples():
-    assert str(fib_combinatorial(5)) == "h^4 + 3h^2 + 1"
-    assert fib_combinatorial(1) == ONE
-    assert str(fib_combinatorial(7)) == "h^6 + 5h^4 + 6h^2 + 1"
-    with pytest.raises(ValueError):
-        fib_combinatorial(0)
+    # fib(n) = convolved_closed_form(1, n - 1): h^(n-1-2i) has coefficient C(n-1-i, i)
+    assert str(convolved_closed_form(1, 4)) == "h^4 + 3h^2 + 1"
+    assert convolved_closed_form(1, 0) == ONE
+    assert str(convolved_closed_form(1, 6)) == "h^6 + 5h^4 + 6h^2 + 1"
 
 
 def test_fib_equals_combinatorial_to_64():
     for n in range(1, 65):
-        assert fib(n) == fib_combinatorial(n), n
+        assert fib(n) == convolved_closed_form(1, n - 1), n
 
 
 def test_lucas_relation_to_64():
@@ -223,7 +221,7 @@ def test_thread_safety_of_memo_tables():
         random.Random(seed).shuffle(requests)
         try:
             for n in range(1, 80):
-                assert fib(n) == fib_combinatorial(n)
+                assert fib(n) == convolved_closed_form(1, n - 1)
             for r, j in requests:
                 assert convolved_convolution(r, j) == convolved_recurrence(r, j + 1)
         except Exception as exc:  # pragma: no cover - only on failure

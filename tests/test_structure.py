@@ -9,6 +9,8 @@ code would no longer check it independently.
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,3 +63,11 @@ def test_import_parser_sees_every_form(tmp_path):
 def test_tpoly_is_not_a_poly():
     # the benchmark counts Poly's own operations apart from TPoly's
     assert not issubclass(TPoly, Poly)
+
+
+def test_cli_import_loads_neither_dataclasses_nor_csv():
+    # every command pays for what `import hfib.cli` loads
+    probe = "import sys, hfib.cli; print(sorted({'dataclasses', 'csv'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from golden import TABLE_R123, assert_valid_report_dict
-from hfib import ONE, Poly, convolved_table, report_to_dict, run_suite
+from hfib import ONE, CheckResult, Poly, SuiteReport, convolved_table, report_to_dict, run_suite
 from hfib.verify import _run_check, check_ids
 
 
@@ -98,6 +98,15 @@ def test_report_dict_schema():
     report = run_suite(r_max=1, n_max=2)
     obj = report_to_dict(report)
     assert_valid_report_dict(obj)
+
+
+def test_records_are_immutable_with_fields_in_order():
+    assert CheckResult._fields == ("check_id", "params", "passed", "counterexample", "elapsed_ms")
+    assert SuiteReport._fields == ("results", "all_passed", "bounds")
+    report = run_suite(r_max=1, n_max=2)
+    for record, field in [(report, "all_passed"), (report.results[0], "passed"), (report, "extra")]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, False)
 
 
 def test_report_dict_failure_carries_counterexample():
