@@ -12,51 +12,59 @@ import json
 import sys
 
 from .hessenberg import char_poly
-from .parse import ParseError, parse_poly
-from .poly import Poly, from_digits
+from .parse import MAX_DEGREE, ParseError, parse_poly, width
+from .poly import ONE, ZERO, Poly, from_digits
 from .series import convolved_series
 from .verify import convolved_table, report_to_dict, run_suite
 
 FORMATS = ("text", "csv", "json", "latex")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+# Size caps, each bounding one command's time and memory (README "Limits")
+MAX_ORDER, MAX_ORDERS, MAX_LENGTH = 100, 16, 300  # r; orders in --r; --n-max, --terms, --n
+MAX_VERIFY_R, MAX_VERIFY_N = 16, 100
+# --subst/--at: bits of one coefficient, and entries * (degree + 1) * those bits
+MAX_COEFF_BITS, MAX_TABLE_BITS = 1 << 17, 1 << 24
 
 
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _quote(text: str) -> str:
+    """At most the first 40 characters of a refused argument, quoted."""
+    return repr(text[:40]) + ("..." if len(text) > 40 else "")
 
 
-def _verify_n_max(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be >= 2, got {value}")
-    return value
+def _int_in(low: int, high: int | None = None):
+    """argparse type: an integer in low..high (no upper bound for None)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low or (high is not None and value > high):
+            bounds = f">= {low}" if high is None else f"in {low}..{high}"
+            raise argparse.ArgumentTypeError(f"must be an integer {bounds}, got {_quote(text)}")
+        return value
+    return parse
 
 
 def _r_list(text: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
-    if not values or any(r < 1 for r in values):
-        raise argparse.ArgumentTypeError("every r must be >= 1")
+    values = [_int_in(1, MAX_ORDER)(part) for part in text.split(",") if part.strip()]
+    if not values or len(values) > MAX_ORDERS:
+        raise argparse.ArgumentTypeError(f"must list 1 to {MAX_ORDERS} orders, got {_quote(text)}")
     return values
+
+
+def _at(text: str) -> int:
+    try:
+        return from_digits(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {_quote(text)}") from None
 
 
 def _subst_poly(text: str) -> Poly:
     try:
         return parse_poly(text)
     except ParseError as exc:
-        shown = repr(text[:40]) + ("..." if len(text) > 40 else "")
-        raise argparse.ArgumentTypeError(f"bad polynomial {shown}: {exc}")
+        raise argparse.ArgumentTypeError(f"bad polynomial {_quote(text)}: {exc}")
 
 
 def _latex_escape(text: str) -> str:
@@ -69,11 +77,28 @@ def _csv_line(fields: list[str]) -> str:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    e, at = args.subst, args.at
+    top = max(args.n_max - 1, 0)  # the largest entry degree
+    if e is not None or at is not None:
+        # bound E^top, or E(A)^top, before computing any: |E(x)| <= 2^w * |x|^deg(E)
+        degree, w = (e.degree or 0, width(e)) if e is not None else (1, 0)
+        if at is not None:
+            degree, w = 0, w + degree * abs(at).bit_length()
+        bits = max(top, 1) * w
+        size = len(args.r) * (args.n_max + 1) * (top * degree + 1) * bits
+        if top * degree > MAX_DEGREE or bits > MAX_COEFF_BITS or size > MAX_TABLE_BITS:
+            args.refuse(f"--subst/--at table over degree {MAX_DEGREE}, "
+                        f"{MAX_COEFF_BITS}-bit coefficients or {MAX_TABLE_BITS} bits")
     rows = convolved_table(args.r, args.n_max)
-    if args.subst is not None:
-        rows = [[p.compose(args.subst) for p in row] for row in rows]
-    if args.at is not None:
-        rows = [[Poly([p(args.at)]) for p in row] for row in rows]
+    if at is not None:  # p(E(A)) is the substituted entry at A
+        x = at if e is None else e(at)
+        rows = [[Poly([p(x)]) for p in row] for row in rows]
+    elif e is not None:  # sum of c_k * E^k over one table of powers
+        powers = [ONE, e]
+        while len(powers) <= top:
+            powers.append(powers[-1] * e)
+        rows = [[sum((c * powers[k] for k, c in enumerate(p.coeffs) if c), ZERO)
+                 for p in row] for row in rows]
     lines: list[str] = []
     if args.format == "text":
         lines.append("n\t" + "\t".join(f"r={r}" for r in args.r))
@@ -195,29 +220,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
     table = sub.add_parser("table", help="grid of convolved polynomials")
     table.add_argument("--r", type=_r_list, default=[1, 2, 3], help="comma-separated orders")
-    table.add_argument("--n-max", type=_nonneg_int, default=8)
+    table.add_argument("--n-max", type=_int_in(0, MAX_LENGTH), default=8)
     table.add_argument("--format", choices=FORMATS, default="text")
     table.add_argument("--subst", type=_subst_poly, default=None, metavar="EXPR",
                        help="substitute h with this polynomial (h or x as symbol)")
-    table.add_argument("--at", type=from_digits, default=None, metavar="INT",
+    table.add_argument("--at", type=_at, default=None, metavar="INT",
                        help="evaluate entries at this integer after substitution")
-    table.set_defaults(func=cmd_table)
+    table.set_defaults(func=cmd_table, refuse=table.error)
 
     gf = sub.add_parser("gf", help="generating-function expansion")
-    gf.add_argument("--r", type=_positive_int, default=1)
-    gf.add_argument("--terms", type=_positive_int, default=10)
+    gf.add_argument("--r", type=_int_in(1, MAX_ORDER), default=1)
+    gf.add_argument("--terms", type=_int_in(1, MAX_LENGTH), default=10)
     gf.add_argument("--format", choices=FORMATS, default="text")
     gf.set_defaults(func=cmd_gf)
 
     charpoly = sub.add_parser("charpoly", help="characteristic polynomial with coefficient annotations")
-    charpoly.add_argument("--n", type=_positive_int, required=True)
+    charpoly.add_argument("--n", type=_int_in(1, MAX_LENGTH), required=True)
     charpoly.add_argument("--format", choices=FORMATS, default="text")
     charpoly.set_defaults(func=cmd_charpoly)
 
     verify = sub.add_parser("verify", help="run the identity suite")
-    verify.add_argument("--r-max", type=_positive_int, default=5)
-    verify.add_argument("--n-max", type=_verify_n_max, default=30)
-    verify.add_argument("--seed", type=_nonneg_int, default=0)
+    verify.add_argument("--r-max", type=_int_in(1, MAX_VERIFY_R), default=5)
+    verify.add_argument("--n-max", type=_int_in(2, MAX_VERIFY_N), default=30)
+    verify.add_argument("--seed", type=_int_in(0), default=0)
     verify.add_argument("--format", choices=FORMATS, default="text")
     verify.set_defaults(func=cmd_verify)
 
@@ -228,9 +253,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+        return args.func(args)
+    except SystemExit as exc:  # a refusal, or --help
         return int(exc.code or 0)
-    return args.func(args)
 
 
 if __name__ == "__main__":

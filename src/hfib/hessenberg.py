@@ -4,9 +4,9 @@ The tridiagonal matrix with h on the diagonal, 1 above and -1 below has
 the Fibonacci polynomials as determinants, the convolved family as
 principal-minor sums, and characteristic-polynomial coefficients that
 are again convolved polynomials up to sign.  The determinant kernel is
-the last-column Hessenberg expansion, O(n^2) ring multiplications; it
-is generic in the entry ring so the same code computes Poly
-determinants and TPoly characteristic polynomials.
+the last-column Hessenberg expansion, O(n^2) ring multiplications,
+generic in the entry ring; the characteristic polynomial, whose matrix
+is tridiagonal, takes the continuant of its leading minors instead.
 """
 from __future__ import annotations
 
@@ -85,25 +85,12 @@ def hess_det(a: HessMatrix) -> Poly:
     return _hess_det_generic(a.entries, ZERO, ONE)
 
 
-def _tridiagonal(n, diag, sup, sub, zero):
-    """Rows of the n x n tridiagonal grid with constant diagonals."""
-    rows = []
-    for i in range(n):
-        row = [zero] * n
-        row[i] = diag
-        if i + 1 < n:
-            row[i + 1] = sup
-        if i > 0:
-            row[i - 1] = sub
-        rows.append(row)
-    return rows
-
-
 def build_fib_matrix(n: int) -> HessMatrix:
     """Tridiagonal n x n matrix: diagonal h, superdiagonal 1, subdiagonal -1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return HessMatrix(_tridiagonal(n, H, ONE, Poly([-1]), ZERO))
+    padded = [ZERO] * n + [Poly([-1]), H, ONE] + [ZERO] * n  # each row is a window of it
+    return HessMatrix([padded[n + 1 - i : 2 * n + 1 - i] for i in range(n)])
 
 
 @lru_cache(maxsize=16)
@@ -147,12 +134,19 @@ def sum_principal_minors(n: int, l: int) -> Poly:
 
 
 def char_poly(n: int) -> TPoly:
-    """det(t*I - F_n) over the TPoly ring; monic of degree n."""
+    """det(t*I - F_n) over the TPoly ring; monic of degree n.
+
+    t*I - F_n has diagonal t - h, superdiagonal -1 and subdiagonal 1, so
+    its leading minors obey the continuant d_k = (t - h)*d_(k-1) + d_(k-2)
+    from d_0 = 1, d_(-1) = 0; the products by t and by h are shifts.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    # t*I - F_n: diagonal t - h, superdiagonal -1, subdiagonal 1
-    rows = _tridiagonal(n, TPoly([-H, ONE]), TPoly([-ONE]), TPoly([ONE]), T_ZERO)
-    return _hess_det_generic(rows, T_ZERO, T_ONE)
+    prev, cur = T_ZERO, T_ONE
+    for _ in range(n):
+        h_cur = TPoly([c.shift(1) for c in cur.coeffs])
+        prev, cur = cur, cur.shift(1) + prev - h_cur
+    return cur
 
 
 def minor_sum_closed_form(n: int, l: int) -> Poly:

@@ -18,6 +18,17 @@ class ParseError(ValueError):
 
 _SYMBOLS = ("h", "x")
 MAX_DEPTH = 100  # deepest parenthesis nesting and longest sign run; bounds the stack
+# Before each product or power runs, the parser bounds its result's degree
+# and coefficient width; it refuses a degree over MAX_DEGREE, or results of
+# more than MAX_BITS in all, counting (degree + 1) * (width + 1) for each.
+MAX_DEGREE = 1000
+MAX_BITS = 1 << 22
+
+
+def width(p: Poly) -> int:
+    """w with 2^w >= the sum of p's absolute coefficients: |p(x)| <= 2^w * |x|^deg(p),
+    and no coefficient of p^k exceeds 2^(k*w)."""
+    return max(sum(abs(c) for c in p.coeffs) - 1, 0).bit_length()
 
 
 class _Parser:
@@ -25,6 +36,7 @@ class _Parser:
         self.text = text
         self.pos = 0
         self.depth = 0
+        self.spent = 0  # coefficient bits of the products and powers so far
 
     def _skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -64,18 +76,25 @@ class _Parser:
             value = value + rhs if ch == "+" else value - rhs
         return value
 
+    def _bound(self, degree: int, bits: int, at: int) -> None:
+        self.spent += (degree + 1) * (bits + 1)
+        if degree > MAX_DEGREE or self.spent > MAX_BITS:
+            raise ParseError(f"over degree {MAX_DEGREE} or {MAX_BITS} coefficient bits", at)
+
     def _term(self) -> Poly:
         value = self._unary()
         while True:
             ch = self._peek()
             if ch == "*":
                 self._take()
-                value = value * self._unary()
+                rhs = self._unary()
             elif ch is not None and (ch.isdigit() or ch in _SYMBOLS or ch == "("):
                 # implicit multiplication: 2h, 3(h+1), h(h+1)
-                value = value * self._power()
+                rhs = self._power()
             else:
                 return value
+            self._bound((value.degree or 0) + (rhs.degree or 0), width(value) + width(rhs), self.pos)
+            value = value * rhs
 
     def _unary(self) -> Poly:
         signs = ""
@@ -92,7 +111,9 @@ class _Parser:
             self._take()
             if self._peek() == "-":
                 raise ParseError("negative exponents are not allowed", self.pos)
-            return base ** self._integer()
+            at, k = self.pos, self._integer()
+            self._bound((base.degree or 0) * k, width(base) * k, at)
+            return base ** k
         return base
 
     def _atom(self) -> Poly:

@@ -144,6 +144,12 @@ class Dense:
 
     __rmul__ = __mul__
 
+    def shift(self, k: int):
+        """This value times the variable to the k >= 0, as a copy padded
+        with k zeros instead of a product.
+        """
+        return type(self)([self._zero] * k + list(self.coeffs)) if self.coeffs else self
+
     def __pow__(self, k: int):
         return ring_pow(self, k, type(self)([self._one]))
 
@@ -181,13 +187,6 @@ class Poly(Dense):
 
     _zero = 0
     _one = 1
-
-    def compose(self, other: Poly) -> Poly:
-        """Substitute h -> other, evaluated by Horner over the ring."""
-        result = ZERO
-        for c in reversed(self.coeffs):
-            result = result * other + Poly([c])
-        return result
 
     def __call__(self, x: int) -> int:
         """Exact integer evaluation at h = x."""

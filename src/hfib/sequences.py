@@ -1,8 +1,8 @@
 """The polynomial sequences and the independent routes to them.
 
 fib/lucas are the generalized Fibonacci and Lucas polynomials in the
-formal symbol h (specialize afterwards with Poly.compose: h -> 1 gives
-Fibonacci numbers, h -> 2 Pell numbers, and so on).  The convolved
+formal symbol h (specialize afterwards by evaluation: p(1) gives
+Fibonacci numbers, p(2) Pell numbers, and so on).  The convolved
 family, coefficient j of (1 - h*t - t^2)^(-r), is computed three
 different ways here -- a double-binomial closed form, r-fold sequence
 convolution, and a three-term recurrence in (r, n) -- so that the

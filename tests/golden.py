@@ -63,6 +63,14 @@ def convolved_by_compositions(r: int, m: int) -> Poly:
     return total
 
 
+def compose(p: Poly, e: Poly) -> Poly:
+    """p with h -> e, by Horner over the ring: the oracle for `table --subst`."""
+    result = Poly()
+    for c in reversed(p.coeffs):
+        result = result * e + Poly([c])
+    return result
+
+
 def assert_valid_report_dict(obj: dict) -> None:
     """Structural check of the verify-report JSON layout."""
     assert set(obj) == {"bounds", "all_passed", "results"}

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -7,10 +8,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from golden import TABLE_R123, assert_valid_report_dict
-from hfib import Poly, minor_sum_closed_form
-from hfib.cli import main
+from golden import TABLE_R123, assert_valid_report_dict, compose
+from hfib import Poly, convolved_table, minor_sum_closed_form
+from hfib.cli import _build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -91,6 +94,58 @@ def test_table_subst_polynomial_then_at(capsys):
     )
     assert code == 0
     assert [row[0] for row in table_text_entries(out)] == ["0", "1", "2", "5", "10"]
+
+
+def table_json(argv):
+    """The entries of `hfib table argv --format json`, run in process."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["table", *argv, "--format", "json"]) == 0
+    return [[Poly.from_json(e) for e in row] for row in json.loads(buf.getvalue())["rows"]]
+
+
+# E zero, constant, with a negative leading coefficient, of degree <= 4
+subst_exprs = st.lists(st.integers(min_value=-30, max_value=30), max_size=5).map(Poly)
+r_lists = st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=3)
+
+
+@given(subst_exprs, r_lists, st.integers(min_value=0, max_value=14))
+@settings(max_examples=60, deadline=None)
+def test_subst_equals_horner_composition(e, r_list, n_max):
+    r_arg = ",".join(map(str, r_list))
+    got = table_json(["--r", r_arg, "--n-max", str(n_max), f"--subst={e}"])
+    expected = [[compose(p, e) for p in row] for row in convolved_table(r_list, n_max)]
+    assert got == expected
+
+
+@given(subst_exprs, r_lists, st.integers(min_value=0, max_value=14),
+       st.integers(min_value=-9, max_value=9))
+@settings(max_examples=60, deadline=None)
+def test_subst_at_equals_the_composed_entries_at_a(e, r_list, n_max, a):
+    r_arg = ",".join(map(str, r_list))
+    got = table_json(["--r", r_arg, "--n-max", str(n_max), f"--subst={e}", f"--at={a}"])
+    expected = [[Poly([compose(p, e)(a)]) for p in row] for row in convolved_table(r_list, n_max)]
+    assert got == expected
+
+
+@pytest.mark.parametrize("at", [None, "7"])
+def test_subst_work_is_one_power_table_or_none(at, monkeypatch):
+    argv = ["table", "--r", "1,4", "--n-max", "80", "--subst", "h^2+4h+5", "--format", "csv"]
+    args = _build_parser().parse_args(argv + (["--at", at] if at else []))
+    calls = 0
+    mul = Poly.__mul__
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert args.func(args) == 0
+    monkeypatch.undo()
+    # E^2..E^D for the largest entry degree D = 79; evaluation needs none
+    assert calls == (0 if at else 79 - 1)
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -25,6 +25,7 @@ from hfib import (
     principal_minor,
     sum_principal_minors,
 )
+from hfib.hessenberg import _hess_det_generic
 
 
 def naive_det(rows):
@@ -202,6 +203,24 @@ def test_char_poly_coefficient_signs():
             if (n - l) % 2:
                 expected = -expected
             assert cp.coefficient(l) == expected, (n, l)
+
+
+def test_char_poly_is_the_hessenberg_determinant_of_t_minus_f():
+    # char_poly runs the continuant; the generic kernel on the full grid
+    # of t*I - F_n is the Hessenberg reading it must keep
+    entry = {-1: TPoly([ONE]), 0: TPoly([-H, ONE]), 1: TPoly([-ONE])}
+    for n in range(1, 31):
+        rows = [[entry.get(j - i, TPoly()) for j in range(n)] for i in range(n)]
+        assert char_poly(n) == _hess_det_generic(rows, TPoly(), TPoly([ONE])), n
+
+
+def test_build_fib_matrix_is_the_tridiagonal_band():
+    assert build_fib_matrix(1).entries == ((H,),)
+    assert build_fib_matrix(3).entries == (
+        (H, ONE, ZERO),
+        (Poly([-1]), H, ONE),
+        (ZERO, Poly([-1]), H),
+    )
 
 
 def test_charpoly_shift_sides():

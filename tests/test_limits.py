@@ -1,0 +1,99 @@
+"""Every oversized or malformed CLI argument gets one short refusal line.
+
+Each case runs `python -m hfib` in a child with a 2 GB address-space
+limit and a timeout, and requires exit 2, no traceback, stderr lines of
+at most 200 characters, and a small peak resident size for the child.
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import resource
+import subprocess
+import sys
+
+import pytest
+
+from hfib.cli import MAX_COEFF_BITS, MAX_TABLE_BITS, MAX_LENGTH, MAX_ORDER, MAX_ORDERS, _build_parser, main
+
+LONG = "9x" * 1500  # a 3,000-character argument
+
+REFUSED = {
+    "r-echo": ["table", "--r", LONG],
+    "at-echo": ["table", "--at", LONG],
+    "exponent-degree": ["table", "--subst", "h^99999999999"],
+    "exponent-bits": ["table", "--subst", "2^99999999999"],
+    "table-n-max": ["table", "--n-max", "100000000"],
+    "gf-terms": ["gf", "--r", "1", "--terms", "99999999999"],
+    "charpoly-n": ["charpoly", "--n", "10000000"],
+    "verify-r-max": ["verify", "--r-max", "100000"],
+    "verify-n-max": ["verify", "--n-max", "100000"],
+    "gf-r": ["gf", "--r", str(MAX_ORDER + 1)],
+    "table-r": ["table", "--r", f"1,{MAX_ORDER + 1}"],
+    "table-orders": ["table", "--r", ",".join(["1"] * (MAX_ORDERS + 1))],
+    "subst-degree": ["table", "--n-max", str(MAX_LENGTH), "--subst", "h^4"],
+    "subst-bits": ["table", "--n-max", "80", "--subst", "10^4400"],
+    "at-bits": ["table", "--n-max", str(MAX_LENGTH), "--at", "9" * 4401],
+    "subst-at-bits": ["table", "--n-max", str(MAX_LENGTH), "--subst", "h^1000", "--at", "2"],
+}
+
+
+def _limit_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("argv", REFUSED.values(), ids=REFUSED.keys())
+def test_oversized_argument_is_refused_in_one_short_line(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "hfib", *argv],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        preexec_fn=_limit_memory,
+    )
+    assert proc.returncode == 2, proc.stderr[-300:]
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert max(len(line) for line in lines) <= 200
+    refusal = [line for line in lines if not line.startswith(("usage:", " "))]
+    assert len(refusal) == 1 and refusal[0].startswith(f"hfib {argv[0]}: error: ")
+    # peak resident size of the largest child so far, in KiB on Linux
+    assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss < 200 * 1024
+
+
+def test_refusals_quote_at_most_40_characters():
+    for argv, shown in [
+        (["table", "--r", LONG], f"must be an integer in 1..{MAX_ORDER}, got {LONG[:40]!r}..."),
+        (["table", "--at", LONG], f"argument --at: not an integer: {LONG[:40]!r}..."),
+        (["charpoly", "--n", "10000000"], f"must be an integer in 1..{MAX_LENGTH}, got '10000000'"),
+        (["table", "--n-max", "80", "--subst", "10^4400"], f"{MAX_COEFF_BITS}-bit coefficients or {MAX_TABLE_BITS} bits"),
+    ]:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(argv) == 2
+        assert shown in err.getvalue(), argv
+
+
+# the benchmark's commands and the largest documented ones
+ADMITTED = [
+    ["table", "--r", "1,2,3,4,5,6,7,8", "--n-max", "80"],
+    ["table", "--r", "2,3", "--n-max", "60", "--subst", "(h+2)^2+h+1"],
+    ["table", "--r", "1,4", "--n-max", "80", "--subst", "x^2 + 5x + 7", "--at", "7"],
+    ["table", "--r", "1,4", "--n-max", "80", "--subst", "h^2+4h+5"],
+    ["table", "--r", "1", "--n-max", "2", "--subst", "10^4400"],
+    ["table", "--r", "1", "--n-max", "2", "--at", "9" * 4401],
+    ["gf", "--r", "5", "--terms", "120"],
+    ["charpoly", "--n", "120"],
+]
+
+
+@pytest.mark.parametrize("argv", ADMITTED, ids=lambda argv: " ".join(argv)[:60])
+def test_caps_admit_the_benchmark_commands(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+
+
+def test_caps_admit_the_deep_verify_bounds():
+    args = _build_parser().parse_args(["verify", "--r-max", "8", "--n-max", "60"])
+    assert (args.r_max, args.n_max) == (8, 60)

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hfib import H, ONE, ParseError, Poly, parse_poly
-from hfib.parse import MAX_DEPTH
+from hfib.parse import MAX_BITS, MAX_DEGREE, MAX_DEPTH, width
 
 
 def test_constants():
@@ -84,3 +84,36 @@ small_polys = st.lists(st.integers(min_value=-99, max_value=99), max_size=6).map
 @given(small_polys)
 def test_round_trips_canonical_rendering(p):
     assert parse_poly(str(p)) == p
+
+
+# the expressions of the benchmark's explore workload, and the CLI's largest literal
+ACCEPTED = ["h^2+4h+5", "x^2 + 5x + 7", "(h+2)(h+3)", "(x+3)*(x+2)+1", "h(h+6)+5",
+            "(h+2)^2+h+1", "10^4400", "h^1000", "(h+1)^1000", "1^99999999999", "0^99999999999"]
+
+
+@pytest.mark.parametrize("text", ACCEPTED)
+def test_sizes_within_the_bounds_parse(text):
+    parse_poly(text)
+
+
+@pytest.mark.parametrize("text", [
+    "h^99999999999",                  # degree
+    "2^99999999999",                  # coefficient bits
+    "2^" + "9" * 5000,                # an exponent past the integer-string limit
+    "h^1001",
+    "(h+1)^1001",
+    "h" * (MAX_DEGREE + 1),           # a product, not a power
+    "(h+1)^999*(h+1)^999",
+    "+".join(["(h+1)^999"] * 5),      # each power fits, all of them do not
+])
+def test_oversized_products_and_powers_are_refused(text):
+    with pytest.raises(ParseError, match=f"over degree {MAX_DEGREE} or {MAX_BITS} coefficient bits"):
+        parse_poly(text)
+
+
+def test_bound_counts_the_power_before_it_runs():
+    # the refusal names the exponent's position; no power of 2 was built
+    with pytest.raises(ParseError) as info:
+        parse_poly("3 + 2^99999999999")
+    assert info.value.position == 6
+    assert width(Poly([-3, 0, 2])) == 3 and width(H) == 0 and width(Poly()) == 0

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from hfib import H, ONE, ZERO, NotDivisible, Poly, QuadExt, TPoly, binom
 from hfib.poly import from_digits, ring_pow, to_digits
 
+from golden import compose
+
 coeff = st.integers(min_value=-(10**6), max_value=10**6)
 polys = st.lists(coeff, max_size=13).map(Poly)
 nonzero_polys = polys.filter(bool)
@@ -50,10 +52,21 @@ def test_pow_examples():
 
 
 def test_compose_examples():
-    assert Poly([1, 0, 1]).compose(Poly([1])) == Poly([2])
+    # the test-local Horner oracle of `table --subst`
+    assert compose(Poly([1, 0, 1]), Poly([1])) == Poly([2])
     # h^3 + 2h at h = 2 gives the fourth Pell number
-    assert Poly([0, 2, 0, 1]).compose(Poly([2])) == Poly([12])
-    assert H.compose(Poly([3, 0, 1])) == Poly([3, 0, 1])
+    assert compose(Poly([0, 2, 0, 1]), Poly([2])) == Poly([12])
+    assert Poly([0, 2, 0, 1])(2) == 12
+    assert compose(H, Poly([3, 0, 1])) == Poly([3, 0, 1])
+    assert compose(Poly([1, 0, 1]), H + ONE) == Poly([2, 2, 1])
+
+
+def test_shift_examples():
+    assert Poly([1, 2]).shift(3) == Poly([0, 0, 0, 1, 2])
+    assert Poly([-5]).shift(0) == Poly([-5])
+    assert H.shift(1) == H * H
+    assert TPoly([H, ONE]).shift(2) == TPoly([ZERO, ZERO, H, ONE])
+    assert ZERO.shift(4) == ZERO and TPoly().shift(4) == TPoly()
 
 
 def test_eval_int_examples():
@@ -176,7 +189,13 @@ def test_degree_of_product(p, q):
 
 @given(polys)
 def test_compose_identity(p):
-    assert p.compose(H) == p
+    assert compose(p, H) == p
+
+
+@given(polys, st.integers(min_value=0, max_value=6))
+def test_shift_is_a_product_by_a_power_of_the_variable(p, k):
+    assert p.shift(k) == p * H**k
+    assert TPoly([p, H]).shift(k) == TPoly([p, H]) * TPoly([ZERO, ONE]) ** k
 
 
 @given(polys)
