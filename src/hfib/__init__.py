@@ -25,7 +25,7 @@ from .sequences import (
     lucas,
     lucas_decomposition_sides,
 )
-from .series import NotInvertible, OrderMismatch, Series, convolved_series
+from .series import NotInvertible, Series, convolved_series
 from .verify import CheckResult, SuiteReport, convolved_table, report_to_dict, run_suite
 
 __version__ = "0.1.0"
@@ -39,7 +39,6 @@ __all__ = [
     "IndexOutOfRange",
     "NotDivisible",
     "NotInvertible",
-    "OrderMismatch",
     "ParseError",
     "Poly",
     "QuadExt",

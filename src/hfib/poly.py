@@ -22,7 +22,10 @@ from typing import Iterable
 
 
 class NotDivisible(ArithmeticError):
-    """Raised when an exact polynomial division leaves a remainder."""
+    """Raised when an exact division leaves a remainder: route 4 divides
+    each coefficient of its power recurrence by an integer, and a wrong
+    coefficient shows up here instead of being rounded away.
+    """
 
 
 def to_digits(n: int) -> str:
@@ -194,29 +197,6 @@ class Poly(Dense):
         for c in reversed(self.coeffs):
             result = result * x + c
         return result
-
-    def exact_div(self, other: Poly) -> Poly:
-        """Quotient d with self = other * d; NotDivisible if no such d."""
-        if not other:
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        div = other.coeffs
-        lead = div[-1]
-        if len(rem) < len(div):
-            if any(rem):
-                raise NotDivisible(f"{self} is not divisible by {other}")
-            return ZERO
-        out = [0] * (len(rem) - len(div) + 1)
-        for k in range(len(out) - 1, -1, -1):
-            q, r = divmod(rem[k + len(div) - 1], lead)
-            if r:
-                raise NotDivisible(f"{self} is not divisible by {other}")
-            out[k] = q
-            for j, c in enumerate(div):
-                rem[k + j] -= q * c
-        if any(rem):
-            raise NotDivisible(f"{self} is not divisible by {other}")
-        return Poly(out)
 
     def _term(self, c: int, k: int) -> tuple[bool, str]:
         """c*h^k with the sign of c pulled out and a unit c omitted."""

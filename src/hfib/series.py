@@ -1,19 +1,16 @@
-"""Truncated formal power series in t with Poly coefficients.
+"""Route 4: truncated formal power series in t with Poly coefficients.
 
 The truncation order is part of a value's identity: a Series of order N
-stores exactly N coefficients (t^0 .. t^(N-1), trailing zeros included),
-and arithmetic between different orders is a hard error rather than a
-silent coercion.
+stores exactly N coefficients (t^0 .. t^(N-1), trailing zeros included).
+Its one operation is an integer power of a series whose constant
+coefficient is 1 or -1, which is all that convolved_series needs to
+expand (1 - h*t - t^2)^(-r).
 """
 from __future__ import annotations
 
 from typing import Iterable
 
-from .poly import H, ONE, ZERO, Poly, TPoly
-
-
-class OrderMismatch(ValueError):
-    """Arithmetic between series of different truncation orders."""
+from .poly import H, ONE, ZERO, NotDivisible, Poly
 
 
 class NotInvertible(ArithmeticError):
@@ -49,18 +46,9 @@ class Series:
     def __hash__(self) -> int:
         return hash((self.order, self.coeffs))
 
-    def _check_order(self, other: Series) -> None:
-        if self.order != other.order:
-            raise OrderMismatch(f"order {self.order} vs {other.order}")
-
-    def __mul__(self, other: Series) -> Series:
-        """Product truncated to the common order, as t-polynomials."""
-        self._check_order(other)
-        product = TPoly(self.coeffs) * TPoly(other.coeffs)
-        return Series(product.coeffs[: self.order], self.order)
-
     def __pow__(self, k: int) -> Series:
-        """self^k at the same order, for any integer k.
+        """self^k at the same order, for any integer k; the constant
+        coefficient a0 must be 1 or -1, else NotInvertible.
 
         b = a^k satisfies a*b' = k*a'*b, which gives the J.C.P. Miller /
         Euler recurrence (Knuth, TAOCP vol. 2, 4.7)
@@ -69,27 +57,16 @@ class Series:
 
         from b[0] = a0^k.  Zero a[i] are skipped, so a series with s
         nonzero tail coefficients costs at most s ring products per term:
-        2N products for N terms of the 3-term kernel, where binary
-        powering took O(log k) dense series products of O(N^2) each.
-        Each division by n*a0 is Poly.exact_div, which raises rather than
-        rounds.  A negative k needs a unit constant (1 or -1); a zero
-        constant with k > 0 has its lowest power of t factored out first.
+        2N products for N terms of the 3-term kernel.  As a0 is 1 or -1,
+        dividing by n*a0 divides each integer coefficient of the sum, and
+        a remainder raises NotDivisible rather than rounds.
         """
         order, a = self.order, self.coeffs
-        if k < 0 and a[0].coeffs not in ((1,), (-1,)):
+        if a[0].coeffs not in ((1,), (-1,)):
             raise NotInvertible(f"constant coefficient {a[0]} is not a unit")
-        if k == 0:
-            return Series([ONE], order)
-        low = next((i for i, c in enumerate(a) if c), order)
-        if low:  # k > 0: a = t^low * c with c[0] != 0, so a^k = t^(low*k) * c^k
-            shift = low * k
-            if shift >= order:
-                return Series([], order)
-            inner = Series(a[low:low + order - shift], order - shift) ** k
-            return Series([ZERO] * shift + list(inner.coeffs), order)
-        a0 = a[0]
+        a0 = a[0].coeffs[0]
         tail = [(i, c) for i, c in enumerate(a) if i and c]
-        b = [a0 ** abs(k)]  # for k < 0, a0 is a unit and so its own inverse
+        b = [Poly([a0 ** abs(k)])]  # a0 is its own inverse
         for n in range(1, order):
             acc = ZERO
             for i, c in tail:
@@ -98,16 +75,15 @@ class Series:
                 weight = (k + 1) * i - n
                 if weight:
                     acc = acc + c * weight * b[n - i]
-            b.append(acc.exact_div(a0 * n))
+            divisor = a0 * n
+            quotients = [divmod(c, divisor) for c in acc.coeffs]
+            if any(rem for _, rem in quotients):
+                raise NotDivisible(f"coefficient of t^{n} is not divisible by {divisor}")
+            b.append(Poly([q for q, _ in quotients]))
         return Series(b, order)
 
     def __repr__(self) -> str:
         return f"Series({list(self.coeffs)!r}, order={self.order})"
-
-
-def fib_kernel(order: int) -> Series:
-    """1 - h*t - t^2, the reciprocal of the sequence generating function."""
-    return Series([ONE, -H, -ONE][:order], order)
 
 
 def convolved_series(r: int, n_terms: int) -> list[Poly]:
@@ -119,4 +95,5 @@ def convolved_series(r: int, n_terms: int) -> list[Poly]:
         raise ValueError("r must be >= 1")
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    return list((fib_kernel(n_terms) ** -r).coeffs)
+    kernel = Series([ONE, -H, -ONE][:n_terms], n_terms)
+    return list((kernel ** -r).coeffs)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hfib import H, ONE, ZERO, NotDivisible, Poly, QuadExt, TPoly, binom
+from hfib import H, ONE, ZERO, Poly, QuadExt, TPoly, binom
 from hfib.poly import from_digits, ring_pow, to_digits
 
 from golden import compose
@@ -73,21 +73,6 @@ def test_eval_int_examples():
     assert Poly([1, 0, 3, 0, 1])(1) == 5
     assert Poly([7, 1, 2])(0) == 7
     assert Poly([0, 2])(3) == 6
-
-
-def test_exact_div_examples():
-    assert Poly([0, 1, 0, 1]).exact_div(Poly([1, 0, 1])) == H
-    disc = Poly([4, 0, 1])
-    assert disc.exact_div(disc) == ONE
-    with pytest.raises(NotDivisible):
-        Poly([1, 0, 1]).exact_div(H)
-    with pytest.raises(ZeroDivisionError):
-        ONE.exact_div(ZERO)
-
-
-def test_exact_div_inexact_coefficient():
-    with pytest.raises(NotDivisible):
-        Poly([1, 2]).exact_div(Poly([2]))
 
 
 def test_canonical_text():
@@ -172,11 +157,6 @@ def test_ring_axioms(p, q, w):
     assert p * (q + w) == p * q + p * w
     assert p + ZERO == p
     assert p * ONE == p
-
-
-@given(polys, nonzero_polys)
-def test_mul_then_exact_div_round_trips(p, q):
-    assert (p * q).exact_div(q) == p
 
 
 @given(polys, nonzero_polys)

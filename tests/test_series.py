@@ -4,8 +4,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hfib import H, ONE, ZERO, NotInvertible, OrderMismatch, Poly, Series, fib
-from hfib.series import convolved_series, fib_kernel
+from hfib import H, ONE, ZERO, NotDivisible, NotInvertible, Poly, Series, fib
+from hfib.series import convolved_series
 
 
 def poly_list(strings):
@@ -39,6 +39,11 @@ def one(order):
     return Series([ONE], order)
 
 
+def kernel(order):
+    """1 - h*t - t^2, the reciprocal of the sequence generating function."""
+    return Series([ONE, -H, -ONE][:order], order)
+
+
 def derivative(a):
     """Term-wise d/dt at the same order.  The top coefficient is unknowable
     after truncation and is stored as zero, so comparisons stop at index
@@ -60,15 +65,6 @@ def inverse_by_division(a):
     return Series(x, a.order)
 
 
-def power_by_products(a, k):
-    """Oracle power: |k| repeated products of a, or of its inverse."""
-    base = a if k >= 0 else inverse_by_division(a)
-    out = one(a.order)
-    for _ in range(abs(k)):
-        out = out * base
-    return out
-
-
 def truncated_product(a, b):
     """Oracle product: coefficient n sums a[i] * b[n-i] for n below the order."""
     out = [ZERO] * a.order
@@ -78,55 +74,23 @@ def truncated_product(a, b):
     return Series(out, a.order)
 
 
-# zero coefficients are common, so zero series and trailing zeros are too
-maybe_zero_poly = st.one_of(
-    st.just(ZERO), st.lists(st.integers(min_value=-9, max_value=9), max_size=3).map(Poly)
-)
-
-
-def series_of_order(order):
-    return st.lists(maybe_zero_poly, max_size=order).map(lambda cs: Series(cs, order))
-
-
-series_pairs = st.integers(min_value=1, max_value=10).flatmap(
-    lambda order: st.tuples(series_of_order(order), series_of_order(order))
-)
-
-
-@given(series_pairs)
-@example((Series([], 4), Series([ONE, H], 4)))
-@example((Series([H, ZERO, ZERO], 3), Series([ONE, -H, ZERO], 3)))
-@settings(max_examples=80, deadline=None)
-def test_mul_matches_truncated_product(pair):
-    a, b = pair
-    assert a * b == truncated_product(a, b)
-    assert a * b == b * a
-
-
-def test_mul_truncates():
-    a = Series([ONE, ONE], 3)  # 1 + t
-    b = Series([ONE, -ONE], 3)  # 1 - t
-    assert a * b == Series([ONE, ZERO, -ONE], 3)
-
-
-def test_mul_identity():
-    a = Series([H, Poly([2, 1]), ONE], 3)
-    assert a * one(3) == a
-
-
-def test_mul_order_mismatch():
-    with pytest.raises(OrderMismatch):
-        Series([ONE], 2) * Series([ONE], 3)
+def power_by_products(a, k):
+    """Oracle power: |k| repeated products of a, or of its inverse."""
+    base = a if k >= 0 else inverse_by_division(a)
+    out = one(a.order)
+    for _ in range(abs(k)):
+        out = truncated_product(out, base)
+    return out
 
 
 def test_self_product_of_sequence_gf():
-    inv = fib_kernel(4) ** -1
-    sq = inv * inv
+    inv = kernel(4) ** -1
+    sq = truncated_product(inv, inv)
     assert list(sq.coeffs) == poly_list([[1], [0, 2], [2, 0, 3], [0, 6, 0, 4]])
 
 
 def test_inverse_of_kernel():
-    inv = fib_kernel(4) ** -1
+    inv = kernel(4) ** -1
     assert list(inv.coeffs) == poly_list([[1], [0, 1], [1, 0, 1], [0, 2, 0, 1]])
 
 
@@ -143,19 +107,19 @@ def test_inverse_requires_unit_constant():
 
 def test_negative_unit_constant_inverts():
     a = Series([-ONE, H], 6)
-    assert a * a**-1 == one(6)
+    assert truncated_product(a, a**-1) == one(6)
 
 
 def test_pow_examples():
-    sq = fib_kernel(3) ** -2
+    sq = kernel(3) ** -2
     assert list(sq.coeffs) == poly_list([[1], [0, 2], [2, 0, 3]])
     a = Series([ONE, H], 4)
     assert a**0 == one(4)
 
 
 def test_pow_negative_matches_squared_inverse():
-    inv = fib_kernel(10) ** -1
-    assert inv * inv == fib_kernel(10) ** -2
+    inv = kernel(10) ** -1
+    assert truncated_product(inv, inv) == kernel(10) ** -2
 
 
 def test_derivative_termwise():
@@ -167,8 +131,8 @@ def test_derivative_termwise():
 def test_derivative_of_inverse_kernel():
     # d/dt of the order-1 expansion equals (h + 2t) times the order-2
     # expansion, on the indices the truncation leaves trustworthy
-    lhs = derivative(fib_kernel(6) ** -1)
-    rhs = Series([H, Poly([2])], 5) * (fib_kernel(5) ** -2)
+    lhs = derivative(kernel(6) ** -1)
+    rhs = truncated_product(Series([H, Poly([2])], 5), kernel(5) ** -2)
     assert list(lhs.coeffs)[:5] == list(rhs.coeffs)[:5]
 
 
@@ -212,7 +176,7 @@ def test_validation():
 @given(series_with_constant(UNITS))
 @settings(max_examples=60, deadline=None)
 def test_inverse_round_trip(a):
-    assert a * a**-1 == one(a.order)
+    assert truncated_product(a, a**-1) == one(a.order)
 
 
 @given(series_with_constant(UNITS, max_order=12),
@@ -220,7 +184,7 @@ def test_inverse_round_trip(a):
        st.integers(min_value=-3, max_value=3))
 @settings(max_examples=40, deadline=None)
 def test_pow_additive(a, j, k):
-    assert a ** (j + k) == (a**j) * (a**k)
+    assert a ** (j + k) == truncated_product(a**j, a**k)
 
 
 @given(series_with_constant(UNITS, max_order=12), st.integers(min_value=-6, max_value=6))
@@ -232,16 +196,41 @@ def test_pow_matches_repeated_products_unit_constant(a, k):
 
 
 @given(series_with_constant(st.one_of(st.just(ZERO), NON_UNITS), max_order=12),
-       st.integers(min_value=1, max_value=6))
+       st.integers(min_value=-6, max_value=6))
 @example(Series([H, ONE], 6), 4)
 @example(Series([ZERO, ZERO, H, ONE], 12), 3)
+@example(Series([Poly([2]), ONE], 3), 0)
+@example(Series([ZERO], 1), -1)
 @settings(max_examples=100, deadline=None)
-def test_pow_matches_repeated_products_non_unit_constant(a, k):
-    assert a**k == power_by_products(a, k)
-
-
-@given(series_with_constant(NON_UNITS, max_order=12), st.integers(min_value=-6, max_value=-1))
-@settings(max_examples=40, deadline=None)
-def test_negative_pow_requires_unit_constant(a, k):
+def test_pow_non_unit_constant_raises_for_every_k(a, k):
     with pytest.raises(NotInvertible):
         a**k
+
+
+def test_remainder_in_route_4_raises_not_divisible(monkeypatch):
+    # For r = 1 the third sum route 4 forms is 2*b[2] = 2h^2 + 2; one off
+    # in it leaves a remainder mod 2, which must raise rather than round
+    add, calls = Poly.__add__, []
+
+    def off_by_one(a, b):
+        calls.append(None)
+        out = add(a, b)
+        return add(out, ONE) if len(calls) == 3 else out
+
+    monkeypatch.setattr(Poly, "__add__", off_by_one)
+    with pytest.raises(NotDivisible):
+        convolved_series(1, 3)
+
+
+def test_products_mod_a_prime_raise_not_divisible(monkeypatch):
+    # every other check passes if each Poly product is reduced mod
+    # 2^31 - 1; route 4's exact division is what catches it
+    mul = Poly.__mul__
+
+    def mod_prime(a, b):
+        return Poly([c % (2**31 - 1) for c in mul(a, b).coeffs])
+
+    monkeypatch.setattr(Poly, "__mul__", mod_prime)
+    monkeypatch.setattr(Poly, "__rmul__", mod_prime)
+    with pytest.raises(NotDivisible):
+        convolved_series(8, 61)
