@@ -196,15 +196,47 @@ def test_pow_matches_repeated_products_unit_constant(a, k):
 
 
 @given(series_with_constant(st.one_of(st.just(ZERO), NON_UNITS), max_order=12),
-       st.integers(min_value=-6, max_value=6))
+       st.integers(min_value=0, max_value=6))
 @example(Series([H, ONE], 6), 4)
 @example(Series([ZERO, ZERO, H, ONE], 12), 3)
 @example(Series([Poly([2]), ONE], 3), 0)
-@example(Series([ZERO], 1), -1)
-@settings(max_examples=100, deadline=None)
-def test_pow_non_unit_constant_raises_for_every_k(a, k):
+@settings(max_examples=60, deadline=None)
+def test_non_negative_pow_requires_unit_constant(a, k):
     with pytest.raises(NotInvertible):
         a**k
+
+
+@given(series_with_constant(NON_UNITS, max_order=12), st.integers(min_value=-6, max_value=-1))
+@example(Series([ZERO], 1), -1)
+@settings(max_examples=40, deadline=None)
+def test_negative_pow_requires_unit_constant(a, k):
+    with pytest.raises(NotInvertible):
+        a**k
+
+
+def test_series_is_immutable():
+    a = Series([ONE, -H], 3)
+    for name, value in (("order", 4), ("coeffs", (ONE,) * 3), ("extra", 0)):
+        with pytest.raises(AttributeError):
+            setattr(a, name, value)
+    assert a == Series([ONE, -H], 3)
+
+
+def test_equal_series_hash_equal():
+    a, b = Series([ONE, -H], 3), Series([ONE, -H, ZERO], 3)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, Series([ONE, -H], 4)}) == 2
+    assert a != list(a.coeffs)
+
+
+def test_repr():
+    assert repr(Series([ONE, -H], 3)) == "Series([Poly('1'), Poly('-h'), Poly('0')], order=3)"
+
+
+def test_series_has_no_product():
+    # a power is the one operation; products are the test-local oracle's
+    with pytest.raises(TypeError):
+        Series([ONE], 2) * Series([ONE], 2)
 
 
 def test_remainder_in_route_4_raises_not_divisible(monkeypatch):
