@@ -4,13 +4,15 @@ The tridiagonal matrix with h on the diagonal, 1 above and -1 below has
 the Fibonacci polynomials as determinants, the convolved family as
 principal-minor sums, and characteristic-polynomial coefficients that
 are again convolved polynomials up to sign.  The determinant kernel is
-the last-column Hessenberg expansion, O(n^2) ring multiplications,
-generic in the entry ring; the characteristic polynomial, whose matrix
-is tridiagonal, takes the continuant of its leading minors instead.
+the last-column Hessenberg expansion over sparse columns, generic in
+the entry ring: it walks each column only from the diagonal up to its
+first nonzero row and multiplies by no unit entry, so it costs n ring
+multiplications on the Fibonacci matrix and its principal submatrices
+and O(n^2) on a dense one.  The characteristic polynomial, whose
+matrix is tridiagonal, takes the continuant of its leading minors.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
@@ -50,60 +52,85 @@ class HessMatrix:
         raise AttributeError("HessMatrix is immutable")
 
 
-def _hess_det_generic(rows, zero, one):
-    """Determinant of an upper-Hessenberg grid by last-column expansion.
+def _leading_minors(cols, sub, zero, one):
+    """Leading minors d[0..n] of an upper-Hessenberg matrix given by
+    sparse columns, by last-column expansion.
 
-    d[k] is the leading k x k determinant; the column-k sum walks rows
-    k..1, carrying the alternating-sign product of subdiagonal entries.
-    A zero subdiagonal entry kills every remaining term of the column.
-    Works over any commutative ring element type with +, -, *.
+    cols[k] = (top, entries) holds column k from its first nonzero row
+    `top` down to the diagonal, all 0-based; sub[i] is the subdiagonal
+    entry (i, i-1), sub[0] unused.  d[k + 1] walks column k from the
+    diagonal up to `top`, carrying the product of the subdiagonal
+    entries passed and a sign that turns at each of them; a zero entry
+    there kills every remaining term.  A subdiagonal entry of one or
+    minus one only sets the sign, and an entry of one adds d[i] itself,
+    so neither costs a product.  Works over any commutative ring element
+    type with +, -, * and ==.
     """
-    n = len(rows)
+    minus_one = -one
     d = [one]
-    for k in range(1, n + 1):
-        col = k - 1
+    for k, (top, entries) in enumerate(cols):
         acc = zero
-        prod = one
+        prod = None  # product of the subdiagonal entries passed; None is one
         positive = True
-        for i in range(k, 0, -1):
-            e = rows[i - 1][col]
+        for i in range(k, top - 1, -1):
+            e = entries[i - top]
             if e:
-                term = e * prod * d[i - 1]
+                if prod is None:
+                    term = d[i] if e == one else e * d[i]
+                else:
+                    term = prod * d[i] if e == one else e * prod * d[i]
                 acc = acc + term if positive else acc - term
-            if i > 1:
-                sub = rows[i - 1][i - 2]
-                if not sub:
+            if i > top:
+                s = sub[i]
+                if not s:
                     break
-                prod = prod * sub
-                positive = not positive
+                if s != minus_one:  # minus one's sign cancels the turn
+                    if s != one:
+                        prod = s if prod is None else prod * s
+                    positive = not positive
         d.append(acc)
-    return d[n]
+    return d
+
+
+def _grid_columns(rows) -> tuple[list, list]:
+    """(cols, sub) of _leading_minors for an upper-Hessenberg grid."""
+    cols = []
+    for k in range(len(rows)):
+        top = 0
+        while top < k and not rows[top][k]:
+            top += 1
+        cols.append((top, [rows[i][k] for i in range(top, k + 1)]))
+    sub = [rows[i][i - 1] if i else None for i in range(len(rows))]
+    return cols, sub
 
 
 def hess_det(a: HessMatrix) -> Poly:
-    """Exact determinant, O(n^2) Poly multiplications."""
-    return _hess_det_generic(a.entries, ZERO, ONE)
+    """Exact determinant.  Each column is walked from the diagonal up to
+    its first nonzero row, with no product for a unit entry: n products
+    for the Fibonacci matrix, O(n^2) on a dense matrix.
+    """
+    return _leading_minors(*_grid_columns(a.entries), ZERO, ONE)[-1]
+
+
+# subdiagonal, diagonal and superdiagonal of the Fibonacci matrix
+_FIB_BAND = (Poly([-1]), H, ONE)
 
 
 def build_fib_matrix(n: int) -> HessMatrix:
     """Tridiagonal n x n matrix: diagonal h, superdiagonal 1, subdiagonal -1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    padded = [ZERO] * n + [Poly([-1]), H, ONE] + [ZERO] * n  # each row is a window of it
+    padded = [ZERO] * n + list(_FIB_BAND) + [ZERO] * n  # each row is a window of it
     return HessMatrix([padded[n + 1 - i : 2 * n + 1 - i] for i in range(n)])
-
-
-@lru_cache(maxsize=16)
-def _fib_entries(n: int) -> tuple[tuple[Poly, ...], ...]:
-    """Entries of build_fib_matrix(n), built and validated once per n for
-    the minor enumerations, which take up to 2^n minors of one matrix.
-    """
-    return build_fib_matrix(n).entries
 
 
 def principal_minor(n: int, deleted: Sequence[int]) -> Poly:
     """Determinant of the Fibonacci matrix with the 1-based rows and
     columns in `deleted` removed (the empty matrix has determinant 1).
+
+    The kept submatrix is again tridiagonal: diagonal h, and the band
+    entries 1 above and -1 below only between two kept indices that are
+    adjacent.  Its columns are built from the kept indices, with no grid.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -112,11 +139,19 @@ def principal_minor(n: int, deleted: Sequence[int]) -> Poly:
         if not prev < i <= n:
             raise IndexOutOfRange(f"deletion indices must be strictly increasing in 1..{n}")
         prev = i
+    below, diag, above = _FIB_BAND
     gone = set(deleted)
-    keep = [i for i in range(1, n + 1) if i not in gone]
-    full = _fib_entries(n)
-    rows = [[full[i - 1][j - 1] for j in keep] for i in keep]
-    return _hess_det_generic(rows, ZERO, ONE)
+    cols, sub = [], []
+    for i in range(1, n + 1):
+        if i not in gone:
+            k = len(cols)
+            if k and i - 1 not in gone:  # adjacent to the previous kept index
+                cols.append((k - 1, (above, diag)))
+                sub.append(below)
+            else:
+                cols.append((k, (diag,)))
+                sub.append(ZERO)
+    return _leading_minors(cols, sub, ZERO, ONE)[-1]
 
 
 def sum_principal_minors(n: int, l: int) -> Poly:

@@ -32,15 +32,51 @@ def to_digits(n: int) -> str:
     """Decimal digits of n at any size.
 
     str() is refused above the interpreter's integer-string limit (4300
-    digits by default); decimal converts without it and is imported
-    only then.
+    digits by default); _digits_by_halves converts without it.  It is a
+    function of its own because its closures would make every call here
+    create their cells, a measurable cost when rendering a large table.
     """
     try:
         return str(n)
     except ValueError:
-        import decimal
+        return _digits_by_halves(n)
 
-        return str(decimal.Decimal(n))
+
+def _digits_by_halves(n: int) -> str:
+    """Decimal digits of n in subquadratic time, where str() is quadratic.
+
+    n is split by bit halves down to leaves of at most 4096 bits, and
+    the pieces are recombined as lo + hi * 2^w by exact decimal
+    arithmetic, whose products of large values are subquadratic.
+    decimal is imported only here.
+    """
+    import decimal
+
+    ctx = decimal.Context(
+        prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+        traps=[decimal.Inexact],
+    )
+    powers: dict[int, decimal.Decimal] = {}
+
+    def two_to(w: int) -> decimal.Decimal:
+        if w not in powers:
+            half = w >> 1
+            powers[w] = (
+                ctx.power(2, w) if w <= 4096
+                else ctx.multiply(two_to(half), two_to(w - half))
+            )
+        return powers[w]
+
+    def convert(m: int, w: int) -> decimal.Decimal:  # 0 <= m < 2^w
+        if w <= 4096:
+            return decimal.Decimal(m)
+        half = w >> 1
+        hi = m >> half
+        lo = m - (hi << half)
+        return ctx.add(convert(lo, half), ctx.multiply(convert(hi, w - half), two_to(half)))
+
+    digits = str(convert(abs(n), n.bit_length()))
+    return "-" + digits if n < 0 else digits
 
 
 def from_digits(text: str) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 import time
 from collections import namedtuple
+from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
 from .hessenberg import (
@@ -216,8 +217,6 @@ def _check_det_fib(r_max: int, n_max: int, rng: random.Random) -> Iterator[Insta
 
 
 def _check_minor_product(r_max: int, n_max: int, rng: random.Random) -> Iterator[Instance]:
-    from itertools import combinations
-
     for n in range(1, min(n_max, 10) + 1):
         for size in range(n + 1):
             for deleted in combinations(range(1, n + 1), size):

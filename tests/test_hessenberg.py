@@ -25,21 +25,20 @@ from hfib import (
     principal_minor,
     sum_principal_minors,
 )
-from hfib.hessenberg import _hess_det_generic
+from hfib.hessenberg import _grid_columns, _leading_minors
 
 
-def naive_det(rows):
+def naive_det(rows, zero=ZERO, one=ONE):
     """First-column cofactor expansion; the slow reference."""
     n = len(rows)
     if n == 0:
-        return ONE
-    if n == 1:
-        return rows[0][0]
-    total = ZERO
+        return one
+    total = zero
     for i in range(n):
-        minor = [row[1:] for k, row in enumerate(rows) if k != i]
-        term = rows[i][0] * naive_det(minor)
-        total = total + term if i % 2 == 0 else total - term
+        if rows[i][0]:
+            minor = [row[1:] for k, row in enumerate(rows) if k != i]
+            term = rows[i][0] * naive_det(minor, zero, one)
+            total = total + term if i % 2 == 0 else total - term
     return total
 
 
@@ -89,6 +88,86 @@ def test_det_against_naive_oracle():
         n = rng.randint(1, 5)
         rows = random_hessenberg(rng, n)
         assert hess_det(HessMatrix(rows)) == naive_det(rows)
+
+
+@pytest.mark.parametrize(
+    "ring", [(ZERO, ONE), (TPoly(), TPoly([ONE]))], ids=["Poly", "TPoly"]
+)
+def test_every_leading_minor_against_naive_oracle(ring):
+    # dense columns and subdiagonals drawn from 0, 1, -1 and other values
+    # cover every branch of the sparse-column walk
+    zero, one = ring
+    rng = random.Random(2024)
+
+    def entry(kind=None):
+        kind = kind or rng.choice(["zero", "one", "minus_one", "other"])
+        if kind == "zero":
+            return zero
+        if kind == "one":
+            return one
+        if kind == "minus_one":
+            return -one
+        c = Poly([rng.randint(-3, 3) for _ in range(rng.randint(1, 2))])
+        return c if type(one) is Poly else TPoly([c, Poly([rng.randint(-2, 2)])])
+
+    for _ in range(120):
+        n = rng.randint(1, 6)
+        rows = [[zero] * n for _ in range(n)]
+        for i in range(n):
+            if i:
+                rows[i][i - 1] = entry()
+            for j in range(i, n):
+                rows[i][j] = entry(rng.choice([None, "other"]))
+        d = _leading_minors(*_grid_columns(rows), zero, one)
+        assert len(d) == n + 1
+        for k in range(n + 1):
+            block = [row[:k] for row in rows[:k]]
+            assert d[k] == naive_det(block, zero, one), (rows, k)
+
+
+def test_principal_minor_is_the_determinant_of_the_kept_submatrix():
+    for n in range(1, 9):
+        full = build_fib_matrix(n).entries
+        for size in range(n + 1):
+            for deleted in combinations(range(1, n + 1), size):
+                keep = [i for i in range(n) if i + 1 not in deleted]
+                kept = [[full[i][j] for j in keep] for i in keep]
+                assert principal_minor(n, deleted) == naive_det(kept), (n, deleted)
+
+
+def _count_poly_products(monkeypatch, call):
+    calls = 0
+    mul = Poly.__mul__
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    value = call()
+    monkeypatch.undo()
+    return calls, value
+
+
+def test_fib_matrix_work_is_linear(monkeypatch):
+    # the band holds h, 1 and -1: one product (by h) per column
+    for n in range(1, 161):
+        matrix = build_fib_matrix(n)
+        calls, det = _count_poly_products(monkeypatch, lambda: hess_det(matrix))
+        assert calls <= n, n
+        assert det == fib(n + 1), n
+    rng = random.Random(5)
+    cases = [
+        (n, deleted)
+        for n in range(1, 9)
+        for size in range(n + 1)
+        for deleted in combinations(range(1, n + 1), size)
+    ]
+    cases += [(60, sorted(rng.sample(range(1, 61), rng.randint(0, 60)))) for _ in range(40)]
+    for n, deleted in cases:
+        calls, _ = _count_poly_products(monkeypatch, lambda: principal_minor(n, deleted))
+        assert calls <= n - len(deleted), (n, deleted)
 
 
 def test_weighted_recurrence_oracle():
@@ -211,7 +290,7 @@ def test_char_poly_is_the_hessenberg_determinant_of_t_minus_f():
     entry = {-1: TPoly([ONE]), 0: TPoly([-H, ONE]), 1: TPoly([-ONE])}
     for n in range(1, 31):
         rows = [[entry.get(j - i, TPoly()) for j in range(n)] for i in range(n)]
-        assert char_poly(n) == _hess_det_generic(rows, TPoly(), TPoly([ONE])), n
+        assert char_poly(n) == _leading_minors(*_grid_columns(rows), TPoly(), TPoly([ONE]))[-1], n
 
 
 def test_build_fib_matrix_is_the_tridiagonal_band():

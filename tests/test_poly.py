@@ -99,6 +99,33 @@ def test_digits_round_trip_at_any_size():
     assert from_digits("-0") == 0
 
 
+def _digit_cases():
+    cases = []
+    for digits in (4299, 4300, 4301):
+        cases += [10 ** (digits - 1), 10**digits - 1, 10 ** (digits - 1) + 1]
+    for k in (4300, 4301, 5000, 20000):
+        cases += [10**k - 1, 10**k, 10**k + 1]
+    leaf = 4096  # to_digits converts pieces of at most this many bits directly
+    for bits in (4 * leaf - 1, 4 * leaf, 4 * leaf + 1, 8 * leaf + 3):
+        cases += [2 ** (bits - 1), 2**bits - 1, 2 ** (bits - 1) + 12345]
+    return cases + [-c for c in cases]
+
+
+def test_to_digits_equals_str_with_the_limit_lifted():
+    before = sys.get_int_max_str_digits()
+    cases = _digit_cases()
+    try:
+        sys.set_int_max_str_digits(4300)
+        got = [to_digits(n) for n in cases]
+        sys.set_int_max_str_digits(0)
+        expected = [str(n) for n in cases]
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert max(len(e) for e in expected) > 20000
+    for n, g, e in zip(cases, got, expected):
+        assert g == e, (n.bit_length(), n < 0)
+
+
 @pytest.mark.parametrize("text", ["", "+", "-", "--5", " 5", "5 ", "1_000", "1e3", "0x1f", "\u0663"])
 def test_from_digits_takes_only_ascii_digits_with_a_sign(text):
     with pytest.raises(ValueError):
