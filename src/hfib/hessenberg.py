@@ -8,12 +8,15 @@ the last-column Hessenberg expansion over sparse columns, generic in
 the entry ring: it walks each column only from the diagonal up to its
 first nonzero row and multiplies by no unit entry, so it costs n ring
 multiplications on the Fibonacci matrix and its principal submatrices
-and O(n^2) on a dense one.  The characteristic polynomial, whose
+and O(n^2) on a dense one.  It takes one column per step, so the
+principal-minor sums walk the deletion sets depth-first and share the
+leading minors of each common kept prefix: one step per kept index of
+the walk, 16,278 products for every n <= 12 and l < n where one
+determinant per set costs 45,057.  The characteristic polynomial, whose
 matrix is tridiagonal, takes the continuant of its leading minors.
 """
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Sequence
 
 from .poly import H, ONE, T_ONE, T_ZERO, ZERO, Poly, TPoly, binom
@@ -52,43 +55,52 @@ class HessMatrix:
         raise AttributeError("HessMatrix is immutable")
 
 
+def _minor_step(d, top, entries, sub, zero, one, minus_one):
+    """The next leading minor d[k + 1] of an upper-Hessenberg matrix,
+    from d[0..k], its column k = (top, entries) and its subdiagonal sub,
+    by last-column expansion.
+
+    The column holds rows `top` down to the diagonal k, all 0-based;
+    sub[i] is the subdiagonal entry (i, i-1), sub[0] unused.  The walk
+    goes from the diagonal up to `top`, carrying the product of the
+    subdiagonal entries passed and a sign that turns at each of them; a
+    zero entry there kills every remaining term.  A subdiagonal entry of
+    one or minus one only sets the sign, and an entry of one adds d[i]
+    itself, so neither costs a product.  Works over any commutative ring
+    element type with +, -, * and ==.
+    """
+    k = len(d) - 1
+    acc = zero
+    prod = None  # product of the subdiagonal entries passed; None is one
+    positive = True
+    for i in range(k, top - 1, -1):
+        e = entries[i - top]
+        if e:
+            if prod is None:
+                term = d[i] if e == one else e * d[i]
+            else:
+                term = prod * d[i] if e == one else e * prod * d[i]
+            acc = acc + term if positive else acc - term
+        if i > top:
+            s = sub[i]
+            if not s:
+                break
+            if s != minus_one:  # minus one's sign cancels the turn
+                if s != one:
+                    prod = s if prod is None else prod * s
+                positive = not positive
+    return acc
+
+
 def _leading_minors(cols, sub, zero, one):
     """Leading minors d[0..n] of an upper-Hessenberg matrix given by
-    sparse columns, by last-column expansion.
-
-    cols[k] = (top, entries) holds column k from its first nonzero row
-    `top` down to the diagonal, all 0-based; sub[i] is the subdiagonal
-    entry (i, i-1), sub[0] unused.  d[k + 1] walks column k from the
-    diagonal up to `top`, carrying the product of the subdiagonal
-    entries passed and a sign that turns at each of them; a zero entry
-    there kills every remaining term.  A subdiagonal entry of one or
-    minus one only sets the sign, and an entry of one adds d[i] itself,
-    so neither costs a product.  Works over any commutative ring element
-    type with +, -, * and ==.
+    sparse columns cols[k] = (top, entries) and subdiagonal sub, one
+    _minor_step per column.
     """
     minus_one = -one
     d = [one]
-    for k, (top, entries) in enumerate(cols):
-        acc = zero
-        prod = None  # product of the subdiagonal entries passed; None is one
-        positive = True
-        for i in range(k, top - 1, -1):
-            e = entries[i - top]
-            if e:
-                if prod is None:
-                    term = d[i] if e == one else e * d[i]
-                else:
-                    term = prod * d[i] if e == one else e * prod * d[i]
-                acc = acc + term if positive else acc - term
-            if i > top:
-                s = sub[i]
-                if not s:
-                    break
-                if s != minus_one:  # minus one's sign cancels the turn
-                    if s != one:
-                        prod = s if prod is None else prod * s
-                    positive = not positive
-        d.append(acc)
+    for top, entries in cols:
+        d.append(_minor_step(d, top, entries, sub, zero, one, minus_one))
     return d
 
 
@@ -155,17 +167,57 @@ def principal_minor(n: int, deleted: Sequence[int]) -> Poly:
 
 
 def sum_principal_minors(n: int, l: int) -> Poly:
-    """Sum of all C(n, l) principal minors of order n - l, by direct
-    enumeration of the deletion sets.
+    """Sum of all C(n, l) principal minors of order n - l.
+
+    Every deletion set is visited, by a depth-first walk over the
+    indices 1..n that decides for each one whether it is kept or
+    deleted.  Sets with a common prefix share the leading minors of its
+    kept submatrix: a stack holds them, keeping an index adds the column
+    that principal_minor builds for it and takes one _minor_step (one
+    product), deleting it adds nothing, and backtracking pops.  Branches
+    that cannot end with exactly l deletions are never entered, so each
+    leaf is one set and adds its top minor.  The walk is iterative,
+    since its depth is n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0 <= l <= n:
         raise ValueError("l must be in 0..n")
+    below, diag, above = _FIB_BAND
+    minus_one = -ONE
+    order = n - l
     total = ZERO
-    for deleted in combinations(range(1, n + 1), l):
-        total = total + principal_minor(n, deleted)
-    return total
+    d, sub = [ONE], []  # leading minors of the kept prefix; its subdiagonal
+    kept = []  # per decided index of the path: True if kept
+    deletions = 0
+    while True:
+        while len(kept) < n:  # descend, keeping while the order allows
+            k = len(d) - 1
+            if k < order:
+                if kept and kept[-1]:  # adjacent to the previous kept index
+                    top, entries = k - 1, (above, diag)
+                    sub.append(below)
+                else:
+                    top, entries = k, (diag,)
+                    sub.append(ZERO)
+                d.append(_minor_step(d, top, entries, sub, ZERO, ONE, minus_one))
+                kept.append(True)
+            else:
+                kept.append(False)
+                deletions += 1
+        total = total + d[-1]
+        while True:  # backtrack to the last kept index that may be deleted
+            if not kept:
+                return total
+            if kept.pop():
+                d.pop()
+                sub.pop()
+                if deletions < l:
+                    kept.append(False)
+                    deletions += 1
+                    break
+            else:
+                deletions -= 1
 
 
 def char_poly(n: int) -> TPoly:

@@ -89,9 +89,23 @@ def from_digits(text: str) -> int:
     try:
         return int(text)
     except ValueError:  # over the integer-string limit
-        import decimal
+        value = _int_by_halves(body)
+        return -value if text[0] == "-" else value
 
-        return int(decimal.Decimal(text))
+
+def _int_by_halves(digits: str) -> int:
+    """The integer a string of decimal digits names, in subquadratic
+    time, where int() is quadratic: the inverse of _digits_by_halves.
+
+    The string is split in halves down to leaves of at most 640 digits,
+    which int() converts at any setting of the integer-string limit, and
+    recombined as hi * 10^len(lo) + lo, whose products of large values
+    are subquadratic.
+    """
+    if len(digits) <= 640:
+        return int(digits)
+    cut = len(digits) // 2
+    return _int_by_halves(digits[:cut]) * 10 ** (len(digits) - cut) + _int_by_halves(digits[cut:])
 
 
 def ring_pow(x, k: int, one):

@@ -170,6 +170,37 @@ def test_fib_matrix_work_is_linear(monkeypatch):
         assert calls <= n - len(deleted), (n, deleted)
 
 
+def _brute_minor_sum(n, l):
+    """The sum over every deletion set, one principal_minor each."""
+    total = ZERO
+    for deleted in combinations(range(1, n + 1), l):
+        total = total + principal_minor(n, deleted)
+    return total
+
+
+def test_minor_sums_walk_equals_enumeration():
+    for n in range(1, 13):
+        for l in range(n + 1):
+            assert sum_principal_minors(n, l) == _brute_minor_sum(n, l), (n, l)
+
+
+def test_minor_sums_walk_at_large_n():
+    # the walk's depth is n, so it must not recurse
+    assert sum_principal_minors(1500, 0) == fib(1501)
+    assert sum_principal_minors(1500, 1500) == ONE
+    assert sum_principal_minors(40, 1) == _brute_minor_sum(40, 1)
+
+
+def test_minor_sums_walk_work(monkeypatch):
+    # one product per kept index of each shared prefix; one principal_minor
+    # per deletion set makes 45,057
+    def every_sum():
+        return [sum_principal_minors(n, l) for n in range(1, 13) for l in range(n)]
+
+    calls, _ = _count_poly_products(monkeypatch, every_sum)
+    assert calls == 16278
+
+
 def test_weighted_recurrence_oracle():
     # a general Hessenberg matrix with -1 subdiagonal computes the
     # terms of the weighted recurrence a(m+1) = sum of p[i][m] * a(i)

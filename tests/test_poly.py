@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import subprocess
 import sys
 
@@ -124,6 +125,29 @@ def test_to_digits_equals_str_with_the_limit_lifted():
     assert max(len(e) for e in expected) > 20000
     for n, g, e in zip(cases, got, expected):
         assert g == e, (n.bit_length(), n < 0)
+
+
+def test_from_digits_equals_int_with_the_limit_lifted():
+    rng = random.Random(3)
+    texts = []
+    # both sides of the default 4300-digit limit and of the 640-digit
+    # leaves, with the halves' cut landing on leading zeros or not
+    for length in (4299, 4300, 4301, 639, 640, 641, 1279, 1280, 1281, 1282, 10241, 50000):
+        digits = "".join(rng.choice("0123456789") for _ in range(length))
+        texts += [digits, "-" + digits, "+" + digits, "0" * 700 + digits]
+    texts += ["9" * 8001, "1" + "0" * 8000, "0" * 8001, "-" + "0" * 4000 + "1" * 4001]
+    before = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        got = [from_digits(text) for text in texts]
+        sys.set_int_max_str_digits(640)  # the lowest limit CPython accepts
+        assert [from_digits(text) for text in texts] == got
+        sys.set_int_max_str_digits(0)
+        expected = [int(text) for text in texts]
+    finally:
+        sys.set_int_max_str_digits(before)
+    for text, g, e in zip(texts, got, expected):
+        assert g == e, (len(text), text[:1])
 
 
 @pytest.mark.parametrize("text", ["", "+", "-", "--5", " 5", "5 ", "1_000", "1e3", "0x1f", "\u0663"])

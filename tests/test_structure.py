@@ -4,13 +4,17 @@ The series route (series.py), the minor-sum and determinant routes
 (hessenberg.py) and the closed-form, convolution and recurrence routes
 (sequences.py) may import only the ring core: poly.py, and quadext.py
 for the sequences' root forms.  A route that called another route's
-code would no longer check it independently.
+code would no longer check it independently.  Three routes share
+sequences.py, so the same rule is also checked per function: the hfib
+functions and classes each route's entry point reaches, outside the
+ring core, belong to that route alone.
 """
 from __future__ import annotations
 
 import ast
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -19,6 +23,16 @@ import hfib
 from hfib import Poly, TPoly
 
 PACKAGE = Path(hfib.__file__).parent
+
+RING_CORE = {"poly", "quadext"}
+
+ROUTES = {
+    "closed form": ("sequences", "convolved_closed_form"),
+    "convolution": ("sequences", "convolved_convolution"),
+    "recurrence": ("sequences", "convolved_recurrence"),
+    "series": ("series", "convolved_series"),
+    "minor sums": ("hessenberg", "sum_principal_minors"),
+}
 
 ALLOWED = {
     "series.py": {"poly"},
@@ -58,6 +72,54 @@ def test_import_parser_sees_every_form(tmp_path):
         "from .series import Series\nfrom . import parse\n"
     )
     assert hfib_imports(source) == {"cli", "", "series"}
+
+
+def module_definitions(package: Path) -> dict[tuple[str, str], tuple[ast.AST, dict]]:
+    """(module, name) of each top-level hfib function and class, mapped
+    to its node and to the names its module binds: its own definitions
+    and what it imports from sibling modules, as (module, name).
+    """
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        module = path.stem
+        tree = ast.parse(path.read_text())
+        scope = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                scope[node.name] = (module, node.name)
+            elif isinstance(node, ast.ImportFrom) and node.level and node.module:
+                for alias in node.names:
+                    scope[alias.asname or alias.name] = (node.module, alias.name)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                found[module, node.name] = (node, scope)
+    return found
+
+
+def route_closure(definitions, entry: tuple[str, str]) -> set[tuple[str, str]]:
+    """The hfib functions and classes outside the ring core that `entry`
+    names, directly or through what they name in turn."""
+    seen, todo = set(), [entry]
+    while todo:
+        key = todo.pop()
+        if key in seen or key[0] in RING_CORE or key not in definitions:
+            continue  # a constant is neither a function nor a class
+        seen.add(key)
+        node, scope = definitions[key]
+        for name in ast.walk(node):
+            if isinstance(name, ast.Name) and name.id in scope:
+                todo.append(scope[name.id])
+    return seen
+
+
+def test_routes_reach_disjoint_functions():
+    definitions = module_definitions(PACKAGE)
+    closures = {route: route_closure(definitions, entry) for route, entry in ROUTES.items()}
+    assert ("hessenberg", "_minor_step") in closures["minor sums"]
+    assert ("sequences", "_conv_term") in closures["convolution"]  # the walk follows calls
+    for first, second in combinations(sorted(closures), 2):
+        shared = closures[first] & closures[second]
+        assert not shared, (first, second, shared)
 
 
 def test_tpoly_is_not_a_poly():
