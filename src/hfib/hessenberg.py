@@ -7,17 +7,18 @@ are again convolved polynomials up to sign.  The determinant kernel is
 the last-column Hessenberg expansion over sparse columns, generic in
 the entry ring: it walks each column only from the diagonal up to its
 first nonzero row and multiplies by no unit entry, so it costs n ring
-multiplications on the Fibonacci matrix and its principal submatrices
-and O(n^2) on a dense one.  It takes one column per step, so the
-principal-minor sums walk the deletion sets depth-first and share the
-leading minors of each common kept prefix: one step per kept index of
-the walk, 16,278 products for every n <= 12 and l < n where one
-determinant per set costs 45,057.  The characteristic polynomial, whose
-matrix is tridiagonal, takes the continuant of its leading minors.
+multiplications on the Fibonacci matrix and O(n^2) on a dense one.
+The principal submatrices of the Fibonacci matrix and t*I - F_n are
+tridiagonal, so their determinants are continuants, one step per
+index, and the kernel serves hess_det alone.  The principal-minor sums
+reuse the leading minors of the kept prefix each set shares with the
+one before: one product per new kept index, 16,278 for every n <= 12
+and l < n where one determinant per set costs 45,057.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from itertools import combinations
+from typing import Iterable, Sequence
 
 from .poly import H, ONE, T_ONE, T_ZERO, ZERO, Poly, TPoly, binom
 
@@ -55,52 +56,43 @@ class HessMatrix:
         raise AttributeError("HessMatrix is immutable")
 
 
-def _minor_step(d, top, entries, sub, zero, one, minus_one):
-    """The next leading minor d[k + 1] of an upper-Hessenberg matrix,
-    from d[0..k], its column k = (top, entries) and its subdiagonal sub,
-    by last-column expansion.
-
-    The column holds rows `top` down to the diagonal k, all 0-based;
-    sub[i] is the subdiagonal entry (i, i-1), sub[0] unused.  The walk
-    goes from the diagonal up to `top`, carrying the product of the
-    subdiagonal entries passed and a sign that turns at each of them; a
-    zero entry there kills every remaining term.  A subdiagonal entry of
-    one or minus one only sets the sign, and an entry of one adds d[i]
-    itself, so neither costs a product.  Works over any commutative ring
-    element type with +, -, * and ==.
-    """
-    k = len(d) - 1
-    acc = zero
-    prod = None  # product of the subdiagonal entries passed; None is one
-    positive = True
-    for i in range(k, top - 1, -1):
-        e = entries[i - top]
-        if e:
-            if prod is None:
-                term = d[i] if e == one else e * d[i]
-            else:
-                term = prod * d[i] if e == one else e * prod * d[i]
-            acc = acc + term if positive else acc - term
-        if i > top:
-            s = sub[i]
-            if not s:
-                break
-            if s != minus_one:  # minus one's sign cancels the turn
-                if s != one:
-                    prod = s if prod is None else prod * s
-                positive = not positive
-    return acc
-
-
 def _leading_minors(cols, sub, zero, one):
     """Leading minors d[0..n] of an upper-Hessenberg matrix given by
-    sparse columns cols[k] = (top, entries) and subdiagonal sub, one
-    _minor_step per column.
+    sparse columns, by last-column expansion.
+
+    cols[k] = (top, entries) holds column k from its first nonzero row
+    `top` down to the diagonal, all 0-based; sub[i] is the subdiagonal
+    entry (i, i-1), sub[0] unused.  d[k + 1] walks column k from the
+    diagonal up to `top`, carrying the product of the subdiagonal
+    entries passed and a sign that turns at each of them; a zero entry
+    there kills every remaining term.  A subdiagonal entry of one or
+    minus one only sets the sign, and an entry of one adds d[i] itself,
+    so neither costs a product.  Works over any commutative ring element
+    type with +, -, * and ==.
     """
     minus_one = -one
     d = [one]
-    for top, entries in cols:
-        d.append(_minor_step(d, top, entries, sub, zero, one, minus_one))
+    for k, (top, entries) in enumerate(cols):
+        acc = zero
+        prod = None  # product of the subdiagonal entries passed; None is one
+        positive = True
+        for i in range(k, top - 1, -1):
+            e = entries[i - top]
+            if e:
+                if prod is None:
+                    term = d[i] if e == one else e * d[i]
+                else:
+                    term = prod * d[i] if e == one else e * prod * d[i]
+                acc = acc + term if positive else acc - term
+            if i > top:
+                s = sub[i]
+                if not s:
+                    break
+                if s != minus_one:  # minus one's sign cancels the turn
+                    if s != one:
+                        prod = s if prod is None else prod * s
+                    positive = not positive
+        d.append(acc)
     return d
 
 
@@ -136,88 +128,63 @@ def build_fib_matrix(n: int) -> HessMatrix:
     return HessMatrix([padded[n + 1 - i : 2 * n + 1 - i] for i in range(n)])
 
 
-def principal_minor(n: int, deleted: Sequence[int]) -> Poly:
-    """Determinant of the Fibonacci matrix with the 1-based rows and
-    columns in `deleted` removed (the empty matrix has determinant 1).
+def _kept_minors(d: list, kept: Sequence[int], start: int) -> list:
+    """Extend d, the leading minors d[0..start] of the Fibonacci matrix
+    kept at the increasing 1-based indices `kept`, over kept[start:].
 
     The kept submatrix is again tridiagonal: diagonal h, and the band
     entries 1 above and -1 below only between two kept indices that are
-    adjacent.  Its columns are built from the kept indices, with no grid.
+    adjacent.  So its leading minors are the continuant
+    d_k = h*d_(k-1) + d_(k-2), without the last term where the k-th kept
+    index does not follow the one before: one product per kept index.
+    """
+    for k in range(start, len(kept)):
+        step = H * d[-1]
+        if k and kept[k] == kept[k - 1] + 1:
+            step = step + d[-2]
+        d.append(step)
+    return d
+
+
+def principal_minor(n: int, deleted: Iterable[int]) -> Poly:
+    """Determinant of the Fibonacci matrix with the 1-based rows and
+    columns in `deleted` removed (the empty matrix has determinant 1).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    deleted = tuple(deleted)
     prev = 0
     for i in deleted:
         if not prev < i <= n:
             raise IndexOutOfRange(f"deletion indices must be strictly increasing in 1..{n}")
         prev = i
-    below, diag, above = _FIB_BAND
     gone = set(deleted)
-    cols, sub = [], []
-    for i in range(1, n + 1):
-        if i not in gone:
-            k = len(cols)
-            if k and i - 1 not in gone:  # adjacent to the previous kept index
-                cols.append((k - 1, (above, diag)))
-                sub.append(below)
-            else:
-                cols.append((k, (diag,)))
-                sub.append(ZERO)
-    return _leading_minors(cols, sub, ZERO, ONE)[-1]
+    kept = [i for i in range(1, n + 1) if i not in gone]
+    return _kept_minors([ONE], kept, 0)[-1]
 
 
 def sum_principal_minors(n: int, l: int) -> Poly:
     """Sum of all C(n, l) principal minors of order n - l.
 
-    Every deletion set is visited, by a depth-first walk over the
-    indices 1..n that decides for each one whether it is kept or
-    deleted.  Sets with a common prefix share the leading minors of its
-    kept submatrix: a stack holds them, keeping an index adds the column
-    that principal_minor builds for it and takes one _minor_step (one
-    product), deleting it adds nothing, and backtracking pops.  Branches
-    that cannot end with exactly l deletions are never entered, so each
-    leaf is one set and adds its top minor.  The walk is iterative,
-    since its depth is n.
+    Every deletion set is visited: its kept indices come from
+    combinations() in lexicographic order, so each set shares its
+    longest common prefix with the one before, and d keeps the leading
+    minors of that prefix and extends them over the rest.  Nothing is
+    merged across sets, and nothing recurses.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0 <= l <= n:
         raise ValueError("l must be in 0..n")
-    below, diag, above = _FIB_BAND
-    minus_one = -ONE
-    order = n - l
-    total = ZERO
-    d, sub = [ONE], []  # leading minors of the kept prefix; its subdiagonal
-    kept = []  # per decided index of the path: True if kept
-    deletions = 0
-    while True:
-        while len(kept) < n:  # descend, keeping while the order allows
-            k = len(d) - 1
-            if k < order:
-                if kept and kept[-1]:  # adjacent to the previous kept index
-                    top, entries = k - 1, (above, diag)
-                    sub.append(below)
-                else:
-                    top, entries = k, (diag,)
-                    sub.append(ZERO)
-                d.append(_minor_step(d, top, entries, sub, ZERO, ONE, minus_one))
-                kept.append(True)
-            else:
-                kept.append(False)
-                deletions += 1
-        total = total + d[-1]
-        while True:  # backtrack to the last kept index that may be deleted
-            if not kept:
-                return total
-            if kept.pop():
-                d.pop()
-                sub.pop()
-                if deletions < l:
-                    kept.append(False)
-                    deletions += 1
-                    break
-            else:
-                deletions -= 1
+    total, d, prev = ZERO, [ONE], ()
+    for kept in combinations(range(1, n + 1), n - l):
+        start = 0
+        while start < len(prev) and kept[start] == prev[start]:
+            start += 1
+        del d[start + 1 :]
+        total = total + _kept_minors(d, kept, start)[-1]
+        prev = kept
+    return total
 
 
 def char_poly(n: int) -> TPoly:

@@ -122,6 +122,7 @@ def _check_ring_axioms(r_max: int, n_max: int, rng: random.Random) -> Iterator[I
         yield f"case={case} distrib", p * (q + w), p * q + p * w
         yield f"case={case} add_ident", p + ZERO, p
         yield f"case={case} mul_ident", p * ONE, p
+        yield f"case={case} pow", p ** 2, p * p
 
 
 def _check_five_way(r_max: int, n_max: int, rng: random.Random) -> Iterator[Instance]:

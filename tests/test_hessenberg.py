@@ -170,11 +170,40 @@ def test_fib_matrix_work_is_linear(monkeypatch):
         assert calls <= n - len(deleted), (n, deleted)
 
 
+def _kept_grid_det(n, deleted):
+    """hess_det of the grid of build_fib_matrix(n) without the rows and
+    columns in `deleted`; the empty grid has determinant 1."""
+    full = build_fib_matrix(n).entries
+    keep = [i for i in range(n) if i + 1 not in deleted]
+    if not keep:
+        return ONE
+    return hess_det(HessMatrix([[full[i][j] for j in keep] for i in keep]))
+
+
+def test_principal_minor_is_the_kernel_on_the_kept_grid():
+    # principal_minor runs the continuant; the generic kernel on the kept
+    # grid is the Hessenberg reading it must keep
+    rng = random.Random(60)
+    for _ in range(40):
+        deleted = sorted(rng.sample(range(1, 61), rng.randint(0, 60)))
+        assert principal_minor(60, deleted) == _kept_grid_det(60, deleted), deleted
+
+
+def test_principal_minor_reads_an_iterator_once():
+    expected = principal_minor(6, [2, 3, 5])
+    assert expected == fib(2) * fib(1) * fib(2) * fib(2)
+    assert principal_minor(6, iter([2, 3, 5])) == expected
+    assert principal_minor(6, (i for i in (2, 3, 5))) == expected
+    assert principal_minor(3, iter([1])) == Poly([1, 0, 1])
+    with pytest.raises(IndexOutOfRange):
+        principal_minor(3, iter([2, 1]))
+
+
 def _brute_minor_sum(n, l):
-    """The sum over every deletion set, one principal_minor each."""
+    """The sum over every deletion set, one hess_det of its kept grid each."""
     total = ZERO
     for deleted in combinations(range(1, n + 1), l):
-        total = total + principal_minor(n, deleted)
+        total = total + _kept_grid_det(n, deleted)
     return total
 
 

@@ -58,6 +58,16 @@ def test_corruption_hook_fails_every_check(check_id):
     assert failed == [check_id]
 
 
+def test_ring_axioms_catch_a_wrong_power_base(monkeypatch):
+    # Poly._one seeds every Poly power; at 2 each p ** k doubles, and
+    # both sides of the decomposition check scale alike
+    monkeypatch.setattr(Poly, "_one", 2)
+    report = run_suite(r_max=1, n_max=2)
+    ring = next(r for r in report.results if r.check_id == "ring_axioms")
+    assert not ring.passed
+    assert " pow: " in ring.counterexample
+
+
 def test_corruption_hook_refuses_an_unknown_check():
     with pytest.raises(ValueError, match="five-way"):
         run_suite(r_max=1, n_max=2, _corrupt="five-way")
