@@ -7,14 +7,19 @@ family, coefficient j of (1 - h*t - t^2)^(-r), is computed three
 different ways here -- a double-binomial closed form, r-fold sequence
 convolution, and a three-term recurrence in (r, n) -- so that the
 routes can be checked against each other and against the series and
-minor-sum routes in their own modules.
+minor-sum routes in their own modules.  The convolution route works on
+Python ints: each term has only every other power of h, and its nonzero
+half is packed at a byte width that provably holds every coefficient,
+so a product of two packed terms is one int product.
 
 Memo tables only ever grow and are filled under a lock; all observable
 behavior is pure.
 """
 from __future__ import annotations
 
+import math
 import threading
+from operator import mul
 
 from .poly import H, ONE, ZERO, Poly, binom
 from .quadext import DISC, QuadExt
@@ -22,8 +27,10 @@ from .quadext import DISC, QuadExt
 _lock = threading.Lock()
 _fib: list[Poly] = [ZERO, ONE]
 _lucas: list[Poly] = [Poly([2]), H]
-# _conv[r] is the prefix of the r-fold self-convolution of (fib(1), fib(2), ...)
-_conv: dict[int, list[Poly]] = {}
+# _conv[r][n] is term n of the r-fold self-convolution of (fib(1), fib(2), ...),
+# h^(n%2) * q(h^2), held as the int q(2^(8*_width)); see _pack and _conv_term
+_conv: dict[int, list[int]] = {}
+_width = 1
 # _rec[r][n] holds the recurrence route for r >= 1.
 _rec: dict[int, list[Poly]] = {}
 
@@ -74,39 +81,100 @@ def convolved_closed_form(r: int, j: int) -> Poly:
     return Poly(coeffs)
 
 
+def _pack(term: Poly, n: int, width: int) -> int:
+    """Term n, h^(n%2) * q(h^2), as the int q(2^(8*width)): the
+    coefficients of q little-endian, width bytes each.
+
+    A nonzero coefficient of the other parity raises ArithmeticError,
+    so a wrong term shows up rather than being dropped; so does a
+    negative or too-wide one (OverflowError).
+    """
+    cs = term.coeffs
+    if any(cs[1 - n % 2::2]):
+        raise ArithmeticError(f"term {n} has a power of h of the wrong parity")
+    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in cs[n % 2::2]), "little")
+
+
+def _unpack(packed: int, n: int, width: int) -> Poly:
+    """The Poly that _pack(., n, width) turned into packed."""
+    data = packed.to_bytes((n // 2 + 1) * width, "little")
+    coeffs = [0] * (n + 1)
+    coeffs[n % 2::2] = [int.from_bytes(data[k:k + width], "little") for k in range(0, len(data), width)]
+    return Poly(coeffs)
+
+
+def _conv_sum(lower: list[int], base: list[int], n: int, shift: int) -> int:
+    """Packed term n of the convolution of two packed sequences:
+    sum of lower[i] * base[n-i], n + 1 int products.
+
+    For odd n each product is h * q1(h^2) * q2(h^2), and the products
+    add as they are.  For even n the products with odd i carry an extra
+    h^2, one packed coefficient: their sum is shifted by `shift` bits.
+    """
+    if n % 2:
+        return sum(map(mul, lower[:n + 1], reversed(base[:n + 1])))
+    even = sum(map(mul, lower[0:n + 1:2], reversed(base[0:n + 1:2])))
+    odd = sum(map(mul, lower[1:n:2], reversed(base[1:n:2])))
+    return even + (odd << shift)
+
+
+def _bytes_for(r: int, m: int) -> int:
+    """Fewest bytes w with C(m+r-1, m) * 2^m < 2^(8w), the bound that
+    _conv_term proves for every coefficient up to level r, term m.
+    """
+    return ((math.comb(m + r - 1, m) << m).bit_length() + 7) // 8
+
+
 def _conv_term(r: int, m: int) -> Poly:
     """Term m of the r-fold self-convolution of (fib(1), fib(2), ...).
 
     Levels 1..r are walked in turn, so any r works without recursion.
     _conv[level] only grows, under the lock: a request computes just the
-    missing terms n = len(_conv[level])..m, each as sum of lower[i] *
-    base[n-i] from level level-1, which was extended to the same length
-    first.  Reaching length L thus costs L(L+1)/2 Poly products per
-    level 2..r, whatever order the terms are asked in.
+    missing terms n = len(_conv[level])..m, each by _conv_sum from level
+    level-1, which was extended to the same length first, and from the
+    base, level 1.  Reaching length L thus costs L(L+1)/2 int products
+    per level 2..r, whatever order the terms are asked in.
+
+    Packing is exact: every coefficient of term m at level L is
+    nonnegative and at most the term's value at h = 1, the coefficient
+    of t^m in (1 - t - t^2)^(-L).  Since F(k+1)(1) <= 2^k, that is at
+    most [t^m](1 - 2t)^(-L) = C(m+L-1, m) * 2^m.  Each product and each
+    partial sum in _conv_sum is coefficientwise between 0 and the final
+    term, and the bound grows with L and m, so once it is below
+    2^(8*_width) no carry crosses into the next packed coefficient.  A
+    request that needs more bytes (_bytes_for) widens to
+    max(need, 2 * old) and repacks the memo, O(log) times in all.
     """
+    global _width
     if len(_conv.get(r, ())) <= m:
+        have = len(_conv.get(1, ()))
         # fib takes _lock, which is not reentrant, so the base comes first
-        base = [fib(i + 1) for i in range(m + 1)]
+        fresh = [fib(n + 1) for n in range(have, m + 1)]
+        need = _bytes_for(r, m)
         with _lock:
-            prefix = _conv.setdefault(1, [])
-            prefix.extend(base[len(prefix):])
+            if need > _width:
+                old, _width = _width, max(need, 2 * _width)
+                for prefix in _conv.values():
+                    prefix[:] = [_pack(_unpack(x, n, old), n, _width) for n, x in enumerate(prefix)]
+            base = _conv.setdefault(1, [])
+            base.extend(_pack(fresh[n - have], n, _width) for n in range(len(base), m + 1))
+            prefix, shift = base, 8 * _width
             for level in range(2, r + 1):
                 lower, prefix = prefix, _conv.setdefault(level, [])
                 for n in range(len(prefix), m + 1):
-                    acc = ZERO
-                    for i in range(n + 1):
-                        acc = acc + lower[i] * base[n - i]
-                    prefix.append(acc)
-    return _conv[r][m]
+                    prefix.append(_conv_sum(lower, base, n, shift))
+    with _lock:
+        return _unpack(_conv[r][m], m, _width)
 
 
 def convolved_convolution(r: int, m: int) -> Poly:
     """Convolved polynomial F(r, m+1) by r-fold discrete convolution.
 
     Computed as r-1 pairwise prefix convolutions, never by enumerating
-    the compositions of m.  The prefixes are memoized and extended
+    the compositions of m, on parity-halved terms packed into ints: no
+    Poly product is made.  The prefixes are memoized and extended
     incrementally, so asking for every m <= M at order r costs
-    (r-1)(M+1)(M+2)/2 Poly products in total, in any order.
+    (r-1)(M+1)(M+2)/2 int products in total, in any order.
     """
     if r < 1:
         raise ValueError("r must be >= 1")

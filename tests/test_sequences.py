@@ -241,7 +241,7 @@ def test_thread_safety_of_memo_tables():
     assert not errors
     # racing extensions must neither drop nor duplicate memoized terms
     for r in range(1, 6):
-        prefix = seq._conv[r]
+        prefix = [seq._unpack(packed, m, seq._width) for m, packed in enumerate(seq._conv[r])]
         assert prefix == [convolved_closed_form(r, m) for m in range(len(prefix))], r
 
 
@@ -259,22 +259,81 @@ def test_convolution_route_work_is_quadratic(order, monkeypatch):
     with seq._lock:
         seq._conv.clear()
 
-    calls = 0
+    products = 0
+    conv_sum = seq._conv_sum
+
+    def counted_sum(lower, base, n, shift):
+        nonlocal products
+        products += n + 1  # one int product per pair (i, n - i)
+        return conv_sum(lower, base, n, shift)
+
+    poly_products = 0
     mul = Poly.__mul__
 
-    def counted(a, b):
-        nonlocal calls
-        calls += 1
+    def counted_mul(a, b):
+        nonlocal poly_products
+        poly_products += 1
         return mul(a, b)
 
-    monkeypatch.setattr(Poly, "__mul__", counted)
+    monkeypatch.setattr(seq, "_conv_sum", counted_sum)
+    monkeypatch.setattr(Poly, "__mul__", counted_mul)
     got = {(r, j): convolved_convolution(r, j) for r, j in requests}
     monkeypatch.undo()
     # level k = 2..r_max convolves level k-1 with the base sequence once:
     # term m of a prefix costs m + 1 products
-    assert calls == (r_max - 1) * length * (length + 1) // 2
+    assert products == (r_max - 1) * length * (length + 1) // 2
+    assert poly_products == 0  # with fib warm, the route multiplies only ints
     for (r, j), value in got.items():
         assert value == convolved_closed_form(r, j), (r, j)
+
+
+def test_pack_refuses_a_power_of_the_wrong_parity():
+    import hfib.sequences as seq
+
+    assert seq._pack(Poly([1, 0, 3]), 2, 1) == 1 + (3 << 8)
+    assert seq._pack(Poly([0, 2, 0, 5]), 3, 2) == 2 + (5 << 16)
+    with pytest.raises(ArithmeticError):
+        seq._pack(Poly([1, 1, 3]), 2, 1)
+    with pytest.raises(ArithmeticError):
+        seq._pack(Poly([0, 2, 1, 5]), 3, 2)
+    with pytest.raises(ArithmeticError):  # as does a coefficient too wide to pack
+        seq._pack(Poly([256]), 0, 1)
+
+
+def test_pack_round_trips_every_term():
+    import hfib.sequences as seq
+
+    width = seq._bytes_for(8, 60)
+    for r in range(1, 9):
+        for m in range(61):
+            term = convolved_closed_form(r, m)
+            assert seq._unpack(seq._pack(term, m, width), m, width) == term, (r, m)
+
+
+def test_packing_width_holds_every_coefficient_up_to_the_verify_caps():
+    import hfib.sequences as seq
+
+    for r in range(1, 17):
+        for m in range(101):
+            limit = 1 << (8 * seq._bytes_for(r, m))
+            assert all(0 <= c < limit for c in convolved_closed_form(r, m).coeffs), (r, m)
+
+
+def test_repacking_keeps_every_memoized_term():
+    import hfib.sequences as seq
+
+    with seq._lock:
+        seq._conv.clear()
+        seq._width = 1
+    widths = []
+    for r, m in [(2, 5), (2, 60), (12, 150), (3, 1)]:
+        assert convolved_convolution(r, m) == convolved_closed_form(r, m), (r, m)
+        widths.append(seq._width)
+    assert widths[0] < widths[1] < widths[2] == widths[3]  # two repacks
+    for r, prefix in seq._conv.items():
+        assert len(prefix) == 151, r
+        for m, packed in enumerate(prefix):
+            assert seq._unpack(packed, m, seq._width) == convolved_closed_form(r, m), (r, m)
 
 
 def test_memo_walks_thousands_of_orders_without_recursion():
