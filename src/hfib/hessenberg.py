@@ -10,17 +10,20 @@ first nonzero row and multiplies by no unit entry, so it costs n ring
 multiplications on the Fibonacci matrix and O(n^2) on a dense one.
 The principal submatrices of the Fibonacci matrix and t*I - F_n are
 tridiagonal, so their determinants are continuants, one step per
-index, and the kernel serves hess_det alone.  The principal-minor sums
-reuse the leading minors of the kept prefix each set shares with the
-one before: one product per new kept index, 16,278 for every n <= 12
-and l < n where one determinant per set costs 45,057.
+index, and the kernel serves hess_det alone.  char_poly runs its
+continuant on ints, one per power of t, with the powers of h packed
+into it at a byte width that a Pell number bounds: a step is shifts
+and adds, with no product and no Poly until the end.  The
+principal-minor sums reuse the leading minors of the kept prefix each
+set shares with the one before: one product per new kept index, 16,278
+for every n <= 12 and l < n where one determinant per set costs 45,057.
 """
 from __future__ import annotations
 
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .poly import H, ONE, T_ONE, T_ZERO, ZERO, Poly, TPoly, binom
+from .poly import H, ONE, T_ZERO, ZERO, Poly, TPoly, binom
 
 
 class IndexOutOfRange(IndexError):
@@ -192,15 +195,43 @@ def char_poly(n: int) -> TPoly:
 
     t*I - F_n has diagonal t - h, superdiagonal -1 and subdiagonal 1, so
     its leading minors obey the continuant d_k = (t - h)*d_(k-1) + d_(k-2)
-    from d_0 = 1, d_(-1) = 0; the products by t and by h are shifts.
+    from d_0 = 1, d_(-1) = 0.  With t turned to -t, g_k(t, h) =
+    (-1)^k * d_k(-t, h) obeys g_k = (t + h)*g_(k-1) + g_(k-2), which has
+    no minus sign: every coefficient of every g_k is nonnegative, and
+    [t^l] d_n = (-1)^(n-l) * [t^l] g_n.
+
+    The loop runs on ints: [t^l] g_k, a polynomial in h, is held as its
+    value at h = 2^(8w), w bytes per coefficient.  A product by h is then
+    a shift by 8w bits and a product by t a shift of the index l, so a
+    step is nxt[l] = (cur[l] << 8w) + cur[l-1] + prev[l], with no
+    product at all.
+
+    Packing is exact: a coefficient of g_k is at most g_k(1, 1), which
+    obeys p_k = 2*p_(k-1) + p_(k-2) from p_0 = 1, p_(-1) = 0 -- the Pell
+    number P(k+1) -- and grows with k, so every coefficient met for
+    k <= n is at most P(n+1) < 2^(8w) for w = P(n+1).bit_length() // 8 + 1.
+    Each partial sum of a step is coefficientwise between 0 and the g_k
+    it makes, so no carry crosses into the next packed coefficient.  g_n
+    is unpacked once, with the sign (-1)^(n-l) on [t^l].
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    prev, cur = T_ZERO, T_ONE
+    pell, before = 1, 0
     for _ in range(n):
-        h_cur = TPoly([c.shift(1) for c in cur.coeffs])
-        prev, cur = cur, cur.shift(1) + prev - h_cur
-    return cur
+        pell, before = 2 * pell + before, pell
+    width = pell.bit_length() // 8 + 1
+    shift = 8 * width
+    prev, cur = [], [1]
+    for _ in range(n):
+        prev, cur = cur, [
+            (a << shift) + b + c for a, b, c in zip(cur + [0], [0] + cur, prev + [0, 0])
+        ]
+    coeffs = []
+    for l, packed in enumerate(cur):
+        data = packed.to_bytes((n - l + 1) * width, "little")
+        cs = [int.from_bytes(data[j:j + width], "little") for j in range(0, len(data), width)]
+        coeffs.append(Poly([-c for c in cs] if (n - l) % 2 else cs))
+    return TPoly(coeffs)
 
 
 def minor_sum_closed_form(n: int, l: int) -> Poly:

@@ -310,7 +310,6 @@ class TPoly(Dense):
 
 
 T_ZERO = TPoly()
-T_ONE = TPoly([ONE])
 
 
 def binom(n: int, k: int) -> int:

@@ -103,6 +103,16 @@ def _unpack(packed: int, n: int, width: int) -> Poly:
     return Poly(coeffs)
 
 
+def _widen(packed: int, n: int, old: int, new: int) -> int:
+    """Packed term n, repacked from old to new >= old bytes per
+    coefficient: each coefficient's bytes are padded with zeros, and no
+    Poly is made.
+    """
+    data = packed.to_bytes((n // 2 + 1) * old, "little")
+    pad = bytes(new - old)
+    return int.from_bytes(b"".join(data[k:k + old] + pad for k in range(0, len(data), old)), "little")
+
+
 def _conv_sum(lower: list[int], base: list[int], n: int, shift: int) -> int:
     """Packed term n of the convolution of two packed sequences:
     sum of lower[i] * base[n-i], n + 1 int products.
@@ -142,8 +152,9 @@ def _conv_term(r: int, m: int) -> Poly:
     partial sum in _conv_sum is coefficientwise between 0 and the final
     term, and the bound grows with L and m, so once it is below
     2^(8*_width) no carry crosses into the next packed coefficient.  A
-    request that needs more bytes (_bytes_for) widens to
-    max(need, 2 * old) and repacks the memo, O(log) times in all.
+    request that needs more bytes (_bytes_for) widens to exactly that
+    need and repacks the memo by _widen: at most once per byte of the
+    width, each time in time linear in the memo.
     """
     global _width
     if len(_conv.get(r, ())) <= m:
@@ -153,9 +164,9 @@ def _conv_term(r: int, m: int) -> Poly:
         need = _bytes_for(r, m)
         with _lock:
             if need > _width:
-                old, _width = _width, max(need, 2 * _width)
+                old, _width = _width, need
                 for prefix in _conv.values():
-                    prefix[:] = [_pack(_unpack(x, n, old), n, _width) for n, x in enumerate(prefix)]
+                    prefix[:] = [_widen(x, n, old, _width) for n, x in enumerate(prefix)]
             base = _conv.setdefault(1, [])
             base.extend(_pack(fresh[n - have], n, _width) for n in range(len(base), m + 1))
             prefix, shift = base, 8 * _width

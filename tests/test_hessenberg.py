@@ -353,6 +353,37 @@ def test_char_poly_is_the_hessenberg_determinant_of_t_minus_f():
         assert char_poly(n) == _leading_minors(*_grid_columns(rows), TPoly(), TPoly([ONE]))[-1], n
 
 
+def tpoly_continuant(n):
+    """det(t*I - F_n) by the continuant d_k = (t - h)*d_(k-1) + d_(k-2)
+    over TPoly, a product by t or h as a shift: the reference for the
+    packed-int loop of char_poly.
+    """
+    prev, cur = TPoly(), TPoly([ONE])
+    for _ in range(n):
+        h_cur = TPoly([c.shift(1) for c in cur.coeffs])
+        prev, cur = cur, cur.shift(1) + prev - h_cur
+    return cur
+
+
+CHAR_POLY_ORDERS = [*range(1, 41), 120, 300]  # 300 is the CLI cap, where the width is largest
+
+
+def test_char_poly_equals_the_tpoly_continuant():
+    for n in CHAR_POLY_ORDERS:
+        assert char_poly(n) == tpoly_continuant(n), n
+
+
+def test_char_poly_absolute_coefficients_sum_to_pell():
+    # sum |c| = g_n(1, 1) for the sign-folded continuant g_k = (t + h)g_(k-1) + g_(k-2),
+    # the Pell number P(n+1): the bound the packing width is taken from
+    pell = [0, 1]
+    while len(pell) <= CHAR_POLY_ORDERS[-1] + 1:
+        pell.append(2 * pell[-1] + pell[-2])
+    for n in CHAR_POLY_ORDERS:
+        total = sum(abs(c) for coeff in char_poly(n).coeffs for c in coeff.coeffs)
+        assert total == pell[n + 1], n
+
+
 def test_build_fib_matrix_is_the_tridiagonal_band():
     assert build_fib_matrix(1).entries == ((H,),)
     assert build_fib_matrix(3).entries == (

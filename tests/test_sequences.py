@@ -307,7 +307,9 @@ def test_pack_round_trips_every_term():
     for r in range(1, 9):
         for m in range(61):
             term = convolved_closed_form(r, m)
-            assert seq._unpack(seq._pack(term, m, width), m, width) == term, (r, m)
+            packed = seq._pack(term, m, width)
+            assert seq._unpack(packed, m, width) == term, (r, m)
+            assert seq._widen(packed, m, width, width + 3) == seq._pack(term, m, width + 3), (r, m)
 
 
 def test_packing_width_holds_every_coefficient_up_to_the_verify_caps():
@@ -334,6 +336,20 @@ def test_repacking_keeps_every_memoized_term():
         assert len(prefix) == 151, r
         for m, packed in enumerate(prefix):
             assert seq._unpack(packed, m, seq._width) == convolved_closed_form(r, m), (r, m)
+
+
+def test_widening_ends_at_the_exact_need():
+    # doubling the old width instead would end this order at 32 bytes, not 21
+    import hfib.sequences as seq
+
+    with seq._lock:
+        seq._conv.clear()
+        seq._width = 1
+    for r in range(1, 17):
+        for m in range(101):
+            convolved_convolution(r, m)
+    assert seq._width == seq._bytes_for(16, 100) == 21
+    assert convolved_convolution(16, 100) == convolved_closed_form(16, 100)
 
 
 def test_memo_walks_thousands_of_orders_without_recursion():
