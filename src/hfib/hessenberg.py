@@ -11,9 +11,9 @@ multiplications on the Fibonacci matrix and O(n^2) on a dense one.
 The principal submatrices of the Fibonacci matrix and t*I - F_n are
 tridiagonal, so their determinants are continuants, one step per
 index, and the kernel serves hess_det alone.  char_poly runs its
-continuant on ints, one per power of t, with the powers of h packed
-into it at a byte width that a Pell number bounds: a step is shifts
-and adds, with no product and no Poly until the end.  The
+continuant on ints, one per power of t, in the ring core's packed
+layout of Z[h] at a byte width that a Pell number bounds: a step is
+shifts and adds, with no product and no Poly until the end.  The
 principal-minor sums reuse the leading minors of the kept prefix each
 set shares with the one before: one product per new kept index, 16,278
 for every n <= 12 and l < n where one determinant per set costs 45,057.
@@ -23,7 +23,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .poly import H, ONE, T_ZERO, ZERO, Poly, TPoly, binom
+from .poly import H, ONE, ZERO, Poly, TPoly, binom, unpack
 
 
 class IndexOutOfRange(IndexError):
@@ -200,16 +200,18 @@ def char_poly(n: int) -> TPoly:
     no minus sign: every coefficient of every g_k is nonnegative, and
     [t^l] d_n = (-1)^(n-l) * [t^l] g_n.
 
-    The loop runs on ints: [t^l] g_k, a polynomial in h, is held as its
-    value at h = 2^(8w), w bytes per coefficient.  A product by h is then
-    a shift by 8w bits and a product by t a shift of the index l, so a
-    step is nxt[l] = (cur[l] << 8w) + cur[l-1] + prev[l], with no
-    product at all.
+    The loop runs on ints: [t^l] g_k has only the powers h^(k-l-2i), so
+    it is held in the ring core's layout as pack(., k - l, w), w bytes
+    per coefficient.  A product by t is then a shift of the index l, and
+    one by h a shift by 8w bits where k - l is even (it raises an odd
+    power to an even one) and nothing where it is odd: a step is
+    nxt[l] = (cur[l] << 8w if k - l is even else cur[l]) + cur[l-1] + prev[l],
+    with no product at all.
 
     Packing is exact: a coefficient of g_k is at most g_k(1, 1), which
     obeys p_k = 2*p_(k-1) + p_(k-2) from p_0 = 1, p_(-1) = 0 -- the Pell
     number P(k+1) -- and grows with k, so every coefficient met for
-    k <= n is at most P(n+1) < 2^(8w) for w = P(n+1).bit_length() // 8 + 1.
+    k <= n is at most P(n+1) < 2^(8w) for the fewest such bytes w.
     Each partial sum of a step is coefficientwise between 0 and the g_k
     it makes, so no carry crosses into the next packed coefficient.  g_n
     is unpacked once, with the sign (-1)^(n-l) on [t^l].
@@ -219,19 +221,15 @@ def char_poly(n: int) -> TPoly:
     pell, before = 1, 0
     for _ in range(n):
         pell, before = 2 * pell + before, pell
-    width = pell.bit_length() // 8 + 1
+    width = (pell.bit_length() + 7) // 8
     shift = 8 * width
     prev, cur = [], [1]
-    for _ in range(n):
-        prev, cur = cur, [
-            (a << shift) + b + c for a, b, c in zip(cur + [0], [0] + cur, prev + [0, 0])
-        ]
-    coeffs = []
-    for l, packed in enumerate(cur):
-        data = packed.to_bytes((n - l + 1) * width, "little")
-        cs = [int.from_bytes(data[j:j + width], "little") for j in range(0, len(data), width)]
-        coeffs.append(Poly([-c for c in cs] if (n - l) % 2 else cs))
-    return TPoly(coeffs)
+    for k in range(1, n + 1):
+        lifted = cur + [0]
+        lifted[k % 2::2] = [a << shift for a in lifted[k % 2::2]]  # the l with k - l even
+        prev, cur = cur, [a + b + c for a, b, c in zip(lifted, [0] + cur, prev + [0, 0])]
+    return TPoly(-unpack(x, n - l, width) if (n - l) % 2 else unpack(x, n - l, width)
+                 for l, x in enumerate(cur))
 
 
 def minor_sum_closed_form(n: int, l: int) -> Poly:
@@ -259,7 +257,7 @@ def charpoly_shift_sides(n: int) -> tuple[TPoly, TPoly]:
     if n < 1:
         raise ValueError("n must be >= 1")
     shift = TPoly([-H, ONE])
-    rhs = T_ZERO
+    rhs = TPoly()
     for i in range(n // 2 + 1):
         rhs = rhs + binom(n - i, i) * shift ** (n - 2 * i)
     return char_poly(n), rhs

@@ -8,7 +8,9 @@ the ring core: Dense holds the dense arithmetic and the rendering loop
 of both Poly and TPoly, the polynomials in t with Poly coefficients of
 the characteristic polynomial; ring_pow is the package's one
 square-and-multiply; to_digits and from_digits convert exact integers
-at any size.
+at any size; pack, unpack and widen hold a polynomial in h that has
+only powers of one parity as a single int, the one packed layout of
+the routes that run on ints.
 
 >>> Poly([0, 2, 0, 1])
 Poly('h^3 + 2h')
@@ -197,12 +199,6 @@ class Dense:
 
     __rmul__ = __mul__
 
-    def shift(self, k: int):
-        """This value times the variable to the k >= 0, as a copy padded
-        with k zeros instead of a product.
-        """
-        return type(self)([self._zero] * k + list(self.coeffs)) if self.coeffs else self
-
     def __pow__(self, k: int):
         return ring_pow(self, k, type(self)([self._one]))
 
@@ -309,11 +305,40 @@ class TPoly(Dense):
         return [c.to_json() for c in self.coeffs]
 
 
-T_ZERO = TPoly()
-
-
 def binom(n: int, k: int) -> int:
     """Binomial coefficient C(n, k); 0 outside 0 <= k <= n."""
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
+
+
+def pack(term: Poly, n: int, width: int) -> int:
+    """A polynomial h^(n%2) * q(h^2) of degree at most n as the int
+    q(2^(8*width)): the coefficients of q little-endian, width bytes each.
+
+    A nonzero coefficient of the other parity raises ArithmeticError,
+    so a wrong term shows up rather than being dropped; so does a
+    negative or too-wide one (OverflowError).
+    """
+    cs = term.coeffs
+    if any(cs[1 - n % 2::2]):
+        raise ArithmeticError(f"term {n} has a power of h of the wrong parity")
+    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in cs[n % 2::2]), "little")
+
+
+def unpack(packed: int, n: int, width: int) -> Poly:
+    """The Poly that pack(., n, width) turned into packed."""
+    data = packed.to_bytes((n // 2 + 1) * width, "little")
+    coeffs = [0] * (n + 1)
+    coeffs[n % 2::2] = [int.from_bytes(data[k:k + width], "little") for k in range(0, len(data), width)]
+    return Poly(coeffs)
+
+
+def widen(packed: int, n: int, old: int, new: int) -> int:
+    """Packed term n, repacked from old to new >= old bytes per
+    coefficient: each coefficient's bytes are padded with zeros, and no
+    Poly is made.
+    """
+    data = packed.to_bytes((n // 2 + 1) * old, "little")
+    pad = bytes(new - old)
+    return int.from_bytes(b"".join(data[k:k + old] + pad for k in range(0, len(data), old)), "little")

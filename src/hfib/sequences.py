@@ -9,8 +9,9 @@ convolution, and a three-term recurrence in (r, n) -- so that the
 routes can be checked against each other and against the series and
 minor-sum routes in their own modules.  The convolution route works on
 Python ints: each term has only every other power of h, and its nonzero
-half is packed at a byte width that provably holds every coefficient,
-so a product of two packed terms is one int product.
+half is held in the ring core's packed layout (poly.pack) at a byte
+width that provably holds every coefficient, so a product of two packed
+terms is one int product.
 
 Memo tables only ever grow and are filled under a lock; all observable
 behavior is pure.
@@ -21,14 +22,14 @@ import math
 import threading
 from operator import mul
 
-from .poly import H, ONE, ZERO, Poly, binom
+from .poly import H, ONE, ZERO, Poly, binom, pack, unpack, widen
 from .quadext import DISC, QuadExt
 
 _lock = threading.Lock()
 _fib: list[Poly] = [ZERO, ONE]
 _lucas: list[Poly] = [Poly([2]), H]
 # _conv[r][n] is term n of the r-fold self-convolution of (fib(1), fib(2), ...),
-# h^(n%2) * q(h^2), held as the int q(2^(8*_width)); see _pack and _conv_term
+# h^(n%2) * q(h^2), held as the int q(2^(8*_width)); see poly.pack and _conv_term
 _conv: dict[int, list[int]] = {}
 _width = 1
 # _rec[r][n] holds the recurrence route for r >= 1.
@@ -81,38 +82,6 @@ def convolved_closed_form(r: int, j: int) -> Poly:
     return Poly(coeffs)
 
 
-def _pack(term: Poly, n: int, width: int) -> int:
-    """Term n, h^(n%2) * q(h^2), as the int q(2^(8*width)): the
-    coefficients of q little-endian, width bytes each.
-
-    A nonzero coefficient of the other parity raises ArithmeticError,
-    so a wrong term shows up rather than being dropped; so does a
-    negative or too-wide one (OverflowError).
-    """
-    cs = term.coeffs
-    if any(cs[1 - n % 2::2]):
-        raise ArithmeticError(f"term {n} has a power of h of the wrong parity")
-    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in cs[n % 2::2]), "little")
-
-
-def _unpack(packed: int, n: int, width: int) -> Poly:
-    """The Poly that _pack(., n, width) turned into packed."""
-    data = packed.to_bytes((n // 2 + 1) * width, "little")
-    coeffs = [0] * (n + 1)
-    coeffs[n % 2::2] = [int.from_bytes(data[k:k + width], "little") for k in range(0, len(data), width)]
-    return Poly(coeffs)
-
-
-def _widen(packed: int, n: int, old: int, new: int) -> int:
-    """Packed term n, repacked from old to new >= old bytes per
-    coefficient: each coefficient's bytes are padded with zeros, and no
-    Poly is made.
-    """
-    data = packed.to_bytes((n // 2 + 1) * old, "little")
-    pad = bytes(new - old)
-    return int.from_bytes(b"".join(data[k:k + old] + pad for k in range(0, len(data), old)), "little")
-
-
 def _conv_sum(lower: list[int], base: list[int], n: int, shift: int) -> int:
     """Packed term n of the convolution of two packed sequences:
     sum of lower[i] * base[n-i], n + 1 int products.
@@ -153,7 +122,7 @@ def _conv_term(r: int, m: int) -> Poly:
     term, and the bound grows with L and m, so once it is below
     2^(8*_width) no carry crosses into the next packed coefficient.  A
     request that needs more bytes (_bytes_for) widens to exactly that
-    need and repacks the memo by _widen: at most once per byte of the
+    need and repacks the memo by widen: at most once per byte of the
     width, each time in time linear in the memo.
     """
     global _width
@@ -166,16 +135,16 @@ def _conv_term(r: int, m: int) -> Poly:
             if need > _width:
                 old, _width = _width, need
                 for prefix in _conv.values():
-                    prefix[:] = [_widen(x, n, old, _width) for n, x in enumerate(prefix)]
+                    prefix[:] = [widen(x, n, old, _width) for n, x in enumerate(prefix)]
             base = _conv.setdefault(1, [])
-            base.extend(_pack(fresh[n - have], n, _width) for n in range(len(base), m + 1))
+            base.extend(pack(fresh[n - have], n, _width) for n in range(len(base), m + 1))
             prefix, shift = base, 8 * _width
             for level in range(2, r + 1):
                 lower, prefix = prefix, _conv.setdefault(level, [])
                 for n in range(len(prefix), m + 1):
                     prefix.append(_conv_sum(lower, base, n, shift))
     with _lock:
-        return _unpack(_conv[r][m], m, _width)
+        return unpack(_conv[r][m], m, _width)
 
 
 def convolved_convolution(r: int, m: int) -> Poly:

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hfib import H, ONE, ZERO, Poly, QuadExt, TPoly, binom
-from hfib.poly import from_digits, ring_pow, to_digits
+from hfib import H, ONE, ZERO, Poly, QuadExt, TPoly, binom, convolved_closed_form
+from hfib.poly import from_digits, pack, ring_pow, to_digits, unpack, widen
 
 from golden import compose
 
@@ -60,14 +60,6 @@ def test_compose_examples():
     assert Poly([0, 2, 0, 1])(2) == 12
     assert compose(H, Poly([3, 0, 1])) == Poly([3, 0, 1])
     assert compose(Poly([1, 0, 1]), H + ONE) == Poly([2, 2, 1])
-
-
-def test_shift_examples():
-    assert Poly([1, 2]).shift(3) == Poly([0, 0, 0, 1, 2])
-    assert Poly([-5]).shift(0) == Poly([-5])
-    assert H.shift(1) == H * H
-    assert TPoly([H, ONE]).shift(2) == TPoly([ZERO, ZERO, H, ONE])
-    assert ZERO.shift(4) == ZERO and TPoly().shift(4) == TPoly()
 
 
 def test_eval_int_examples():
@@ -223,12 +215,6 @@ def test_compose_identity(p):
     assert compose(p, H) == p
 
 
-@given(polys, st.integers(min_value=0, max_value=6))
-def test_shift_is_a_product_by_a_power_of_the_variable(p, k):
-    assert p.shift(k) == p * H**k
-    assert TPoly([p, H]).shift(k) == TPoly([p, H]) * TPoly([ZERO, ONE]) ** k
-
-
 @given(polys)
 def test_normalized_invariant(p):
     assert not p.coeffs or p.coeffs[-1] != 0
@@ -244,6 +230,29 @@ def test_ring_pow_is_square_and_multiply_in_any_ring():
     assert ring_pow(3, 13, 1) == 3**13
     assert ring_pow(H, 0, ONE) == ONE
     assert ring_pow(H + ONE, 3, ONE) == Poly([1, 3, 3, 1])
+
+
+def test_pack_refuses_a_power_of_the_wrong_parity():
+    assert pack(Poly([1, 0, 3]), 2, 1) == 1 + (3 << 8)
+    assert pack(Poly([0, 2, 0, 5]), 3, 2) == 2 + (5 << 16)
+    with pytest.raises(ArithmeticError):
+        pack(Poly([1, 1, 3]), 2, 1)
+    with pytest.raises(ArithmeticError):
+        pack(Poly([0, 2, 1, 5]), 3, 2)
+    with pytest.raises(ArithmeticError):  # as does a coefficient too wide to pack
+        pack(Poly([256]), 0, 1)
+
+
+def test_pack_round_trips_every_term():
+    import hfib.sequences as seq
+
+    width = seq._bytes_for(8, 60)
+    for r in range(1, 9):
+        for m in range(61):
+            term = convolved_closed_form(r, m)
+            packed = pack(term, m, width)
+            assert unpack(packed, m, width) == term, (r, m)
+            assert widen(packed, m, width, width + 3) == pack(term, m, width + 3), (r, m)
 
 
 @pytest.mark.parametrize(

@@ -28,6 +28,7 @@ from hfib import (
     lucas,
     lucas_decomposition_sides,
 )
+from hfib.poly import unpack
 
 DISC = Poly([4, 0, 1])
 
@@ -241,7 +242,7 @@ def test_thread_safety_of_memo_tables():
     assert not errors
     # racing extensions must neither drop nor duplicate memoized terms
     for r in range(1, 6):
-        prefix = [seq._unpack(packed, m, seq._width) for m, packed in enumerate(seq._conv[r])]
+        prefix = [unpack(packed, m, seq._width) for m, packed in enumerate(seq._conv[r])]
         assert prefix == [convolved_closed_form(r, m) for m in range(len(prefix))], r
 
 
@@ -287,31 +288,6 @@ def test_convolution_route_work_is_quadratic(order, monkeypatch):
         assert value == convolved_closed_form(r, j), (r, j)
 
 
-def test_pack_refuses_a_power_of_the_wrong_parity():
-    import hfib.sequences as seq
-
-    assert seq._pack(Poly([1, 0, 3]), 2, 1) == 1 + (3 << 8)
-    assert seq._pack(Poly([0, 2, 0, 5]), 3, 2) == 2 + (5 << 16)
-    with pytest.raises(ArithmeticError):
-        seq._pack(Poly([1, 1, 3]), 2, 1)
-    with pytest.raises(ArithmeticError):
-        seq._pack(Poly([0, 2, 1, 5]), 3, 2)
-    with pytest.raises(ArithmeticError):  # as does a coefficient too wide to pack
-        seq._pack(Poly([256]), 0, 1)
-
-
-def test_pack_round_trips_every_term():
-    import hfib.sequences as seq
-
-    width = seq._bytes_for(8, 60)
-    for r in range(1, 9):
-        for m in range(61):
-            term = convolved_closed_form(r, m)
-            packed = seq._pack(term, m, width)
-            assert seq._unpack(packed, m, width) == term, (r, m)
-            assert seq._widen(packed, m, width, width + 3) == seq._pack(term, m, width + 3), (r, m)
-
-
 def test_packing_width_holds_every_coefficient_up_to_the_verify_caps():
     import hfib.sequences as seq
 
@@ -335,7 +311,7 @@ def test_repacking_keeps_every_memoized_term():
     for r, prefix in seq._conv.items():
         assert len(prefix) == 151, r
         for m, packed in enumerate(prefix):
-            assert seq._unpack(packed, m, seq._width) == convolved_closed_form(r, m), (r, m)
+            assert unpack(packed, m, seq._width) == convolved_closed_form(r, m), (r, m)
 
 
 def test_widening_ends_at_the_exact_need():

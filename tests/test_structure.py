@@ -135,3 +135,13 @@ def test_cli_import_loads_neither_dataclasses_nor_csv():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_only_the_ring_core_packs_ints():
+    # the packed layout of Z[h] is one decision, made in poly.py alone
+    packing = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ("to_bytes", "from_bytes"):
+                packing.add(path.stem)
+    assert packing == {"poly"}
