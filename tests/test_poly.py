@@ -243,6 +243,30 @@ def test_pack_refuses_a_power_of_the_wrong_parity():
         pack(Poly([256]), 0, 1)
 
 
+def test_pack_fills_a_slot_to_its_last_byte():
+    # a coefficient of 2^(8w) - 1 uses every bit of its slot and no more,
+    # and a term of degree below n leaves its top slots zero
+    assert pack(Poly([255, 0, 255]), 2, 1) == 0xFFFF
+    assert unpack(0xFFFF, 2, 1) == Poly([255, 0, 255])
+    assert pack(Poly([0, 65535]), 5, 2) == 0xFFFF
+    assert unpack(0xFFFF, 5, 2) == Poly([0, 65535])
+    assert widen(0xFFFF, 5, 2, 3) == 0xFFFF and widen(0xFF00FF, 4, 1, 2) == 0xFF000000FF
+    assert unpack(0, 6, 3) == ZERO
+
+
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=12), st.data())
+def test_pack_round_trips_any_term_that_fits(width, n, data):
+    slot = st.integers(min_value=0, max_value=(1 << 8 * width) - 1)
+    coeffs = [0] * (n + 1)
+    coeffs[n % 2::2] = data.draw(st.lists(slot, min_size=n // 2 + 1, max_size=n // 2 + 1))
+    term = Poly(coeffs)
+    packed = pack(term, n, width)
+    assert packed >> 8 * width * (n // 2 + 1) == 0
+    assert unpack(packed, n, width) == term
+    extra = data.draw(st.integers(min_value=0, max_value=3))
+    assert widen(packed, n, width, width + extra) == pack(term, n, width + extra)
+
+
 def test_pack_round_trips_every_term():
     import hfib.sequences as seq
 
