@@ -33,10 +33,12 @@ def _quote(text: str) -> str:
 
 
 def _int_in(low: int, high: int | None = None):
-    """argparse type: an integer in low..high (no upper bound for None)."""
+    """argparse type: an integer in low..high (no upper bound for None),
+    written as from_digits reads it.
+    """
     def parse(text: str) -> int:
         try:
-            value = int(text)
+            value = from_digits(text)
         except ValueError:
             value = None
         if value is None or value < low or (high is not None and value > high):
@@ -47,7 +49,7 @@ def _int_in(low: int, high: int | None = None):
 
 
 def _r_list(text: str) -> list[int]:
-    values = [_int_in(1, MAX_ORDER)(part) for part in text.split(",") if part.strip()]
+    values = [_int_in(1, MAX_ORDER)(part) for part in map(str.strip, text.split(",")) if part]
     if not values or len(values) > MAX_ORDERS:
         raise argparse.ArgumentTypeError(f"must list 1 to {MAX_ORDERS} orders, got {_quote(text)}")
     return values

@@ -4,10 +4,10 @@ The tridiagonal matrix with h on the diagonal, 1 above and -1 below has
 the Fibonacci polynomials as determinants, the convolved family as
 principal-minor sums, and characteristic-polynomial coefficients that
 are again convolved polynomials up to sign.  The determinant kernel is
-the last-column Hessenberg expansion over sparse columns, generic in
-the entry ring: it walks each column only from the diagonal up to its
-first nonzero row and multiplies by no unit entry, so it costs n ring
-multiplications on the Fibonacci matrix and O(n^2) on a dense one.
+the last-column Hessenberg expansion, generic in the entry ring: it
+walks each column only from the diagonal up to its first nonzero row
+and multiplies by no unit entry, so it costs n ring multiplications on
+the Fibonacci matrix and O(n^2) on a dense one.
 The principal submatrices of the Fibonacci matrix and t*I - F_n are
 tridiagonal, so their determinants are continuants, one step per
 index, and the kernel serves hess_det alone.  char_poly runs its
@@ -15,8 +15,7 @@ continuant on ints, one per power of t, in the ring core's packed
 layout of Z[h] at a byte width that a Pell number bounds: a step is
 shifts and adds, with no product and no Poly until the end.  The
 principal-minor sums reuse the leading minors of the kept prefix each
-set shares with the one before: one product per new kept index, 16,278
-for every n <= 12 and l < n where one determinant per set costs 45,057.
+set shares with the one before: one product per new kept index.
 """
 from __future__ import annotations
 
@@ -33,9 +32,8 @@ class IndexOutOfRange(IndexError):
 class HessMatrix:
     """Square matrix of Poly entries with zeros below the subdiagonal."""
 
-    __slots__ = ("n", "entries")
+    __slots__ = ("entries",)
 
-    n: int
     entries: tuple[tuple[Poly, ...], ...]
 
     def __init__(self, entries: Sequence[Sequence[Poly]]):
@@ -52,35 +50,35 @@ class HessMatrix:
                         f"entry ({i + 1},{j + 1}) below the subdiagonal is nonzero"
                     )
             rows.append(tuple(row))
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", tuple(rows))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("HessMatrix is immutable")
 
 
-def _leading_minors(cols, sub, zero, one):
-    """Leading minors d[0..n] of an upper-Hessenberg matrix given by
-    sparse columns, by last-column expansion.
+def _leading_minors(rows, zero, one):
+    """Leading minors d[0..n] of the upper-Hessenberg grid `rows`, by
+    last-column expansion.
 
-    cols[k] = (top, entries) holds column k from its first nonzero row
-    `top` down to the diagonal, all 0-based; sub[i] is the subdiagonal
-    entry (i, i-1), sub[0] unused.  d[k + 1] walks column k from the
-    diagonal up to `top`, carrying the product of the subdiagonal
-    entries passed and a sign that turns at each of them; a zero entry
-    there kills every remaining term.  A subdiagonal entry of one or
-    minus one only sets the sign, and an entry of one adds d[i] itself,
-    so neither costs a product.  Works over any commutative ring element
-    type with +, -, * and ==.
+    d[k + 1] finds the first nonzero row `top` of column k, then walks
+    the column from the diagonal up to it, carrying the product of the
+    subdiagonal entries rows[i][i-1] passed and a sign that turns at
+    each of them; a zero entry there kills every remaining term.  A
+    subdiagonal entry of one or minus one only sets the sign, and an
+    entry of one adds d[i] itself, so neither costs a product.  Works
+    over any commutative ring element type with +, -, * and ==.
     """
     minus_one = -one
     d = [one]
-    for k, (top, entries) in enumerate(cols):
+    for k in range(len(rows)):
+        top = 0
+        while top < k and not rows[top][k]:
+            top += 1
         acc = zero
         prod = None  # product of the subdiagonal entries passed; None is one
         positive = True
         for i in range(k, top - 1, -1):
-            e = entries[i - top]
+            e = rows[i][k]
             if e:
                 if prod is None:
                     term = d[i] if e == one else e * d[i]
@@ -88,7 +86,7 @@ def _leading_minors(cols, sub, zero, one):
                     term = prod * d[i] if e == one else e * prod * d[i]
                 acc = acc + term if positive else acc - term
             if i > top:
-                s = sub[i]
+                s = rows[i][i - 1]
                 if not s:
                     break
                 if s != minus_one:  # minus one's sign cancels the turn
@@ -99,24 +97,12 @@ def _leading_minors(cols, sub, zero, one):
     return d
 
 
-def _grid_columns(rows) -> tuple[list, list]:
-    """(cols, sub) of _leading_minors for an upper-Hessenberg grid."""
-    cols = []
-    for k in range(len(rows)):
-        top = 0
-        while top < k and not rows[top][k]:
-            top += 1
-        cols.append((top, [rows[i][k] for i in range(top, k + 1)]))
-    sub = [rows[i][i - 1] if i else None for i in range(len(rows))]
-    return cols, sub
-
-
 def hess_det(a: HessMatrix) -> Poly:
     """Exact determinant.  Each column is walked from the diagonal up to
     its first nonzero row, with no product for a unit entry: n products
     for the Fibonacci matrix, O(n^2) on a dense matrix.
     """
-    return _leading_minors(*_grid_columns(a.entries), ZERO, ONE)[-1]
+    return _leading_minors(a.entries, ZERO, ONE)[-1]
 
 
 # subdiagonal, diagonal and superdiagonal of the Fibonacci matrix

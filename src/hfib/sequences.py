@@ -13,8 +13,9 @@ half is held in the ring core's packed layout (poly.pack) at a byte
 width that provably holds every coefficient, so a product of two packed
 terms is one int product.
 
-Memo tables only ever grow and are filled under a lock; all observable
-behavior is pure.
+Memo tables only ever grow and are filled under one re-entrant lock,
+which a route holds while it reads fib's memo; all observable behavior
+is pure.
 """
 from __future__ import annotations
 
@@ -25,11 +26,12 @@ from operator import mul
 from .poly import H, ONE, ZERO, Poly, binom, pack, unpack, widen
 from .quadext import DISC, QuadExt
 
-_lock = threading.Lock()
+_lock = threading.RLock()
 _fib: list[Poly] = [ZERO, ONE]
 _lucas: list[Poly] = [Poly([2]), H]
 # _conv[r][n] is term n of the r-fold self-convolution of (fib(1), fib(2), ...),
-# h^(n%2) * q(h^2), held as the int q(2^(8*_width)); see poly.pack and _conv_term
+# h^(n%2) * q(h^2), held as the int q(2^(8*_width)); see poly.pack and
+# convolved_convolution
 _conv: dict[int, list[int]] = {}
 _width = 1
 # _rec[r][n] holds the recurrence route for r >= 1.
@@ -99,20 +101,24 @@ def _conv_sum(lower: list[int], base: list[int], n: int, shift: int) -> int:
 
 def _bytes_for(r: int, m: int) -> int:
     """Fewest bytes w with C(m+r-1, m) * 2^m < 2^(8w), the bound that
-    _conv_term proves for every coefficient up to level r, term m.
+    convolved_convolution proves for every coefficient up to level r,
+    term m.
     """
     return ((math.comb(m + r - 1, m) << m).bit_length() + 7) // 8
 
 
-def _conv_term(r: int, m: int) -> Poly:
-    """Term m of the r-fold self-convolution of (fib(1), fib(2), ...).
+def convolved_convolution(r: int, m: int) -> Poly:
+    """Convolved polynomial F(r, m+1) by r-fold discrete convolution.
 
-    Levels 1..r are walked in turn, so any r works without recursion.
-    _conv[level] only grows, under the lock: a request computes just the
-    missing terms n = len(_conv[level])..m, each by _conv_sum from level
-    level-1, which was extended to the same length first, and from the
-    base, level 1.  Reaching length L thus costs L(L+1)/2 int products
-    per level 2..r, whatever order the terms are asked in.
+    Computed as r-1 pairwise prefix convolutions, never by enumerating
+    the compositions of m, on parity-halved terms packed into ints: no
+    Poly product is made.  Levels 1..r are walked in turn, so any r
+    works without recursion.  _conv[level] only grows, under the lock: a
+    request computes just the missing terms n = len(_conv[level])..m,
+    each by _conv_sum from level level-1, which was extended to the same
+    length first, and from the base, level 1.  So asking for every
+    m <= M at order r costs (r-1)(M+1)(M+2)/2 int products in total, in
+    any order.
 
     Packing is exact: every coefficient of term m at level L is
     nonnegative and at most the term's value at h = 1, the coefficient
@@ -126,58 +132,25 @@ def _conv_term(r: int, m: int) -> Poly:
     width, each time in time linear in the memo.
     """
     global _width
-    if len(_conv.get(r, ())) <= m:
-        have = len(_conv.get(1, ()))
-        # fib takes _lock, which is not reentrant, so the base comes first
-        fresh = [fib(n + 1) for n in range(have, m + 1)]
-        need = _bytes_for(r, m)
-        with _lock:
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    with _lock:
+        if len(_conv.get(r, ())) <= m:
+            need = _bytes_for(r, m)
             if need > _width:
                 old, _width = _width, need
                 for prefix in _conv.values():
                     prefix[:] = [widen(x, n, old, _width) for n, x in enumerate(prefix)]
             base = _conv.setdefault(1, [])
-            base.extend(pack(fresh[n - have], n, _width) for n in range(len(base), m + 1))
+            base.extend(pack(fib(n + 1), n, _width) for n in range(len(base), m + 1))
             prefix, shift = base, 8 * _width
             for level in range(2, r + 1):
                 lower, prefix = prefix, _conv.setdefault(level, [])
                 for n in range(len(prefix), m + 1):
                     prefix.append(_conv_sum(lower, base, n, shift))
-    with _lock:
         return unpack(_conv[r][m], m, _width)
-
-
-def convolved_convolution(r: int, m: int) -> Poly:
-    """Convolved polynomial F(r, m+1) by r-fold discrete convolution.
-
-    Computed as r-1 pairwise prefix convolutions, never by enumerating
-    the compositions of m, on parity-halved terms packed into ints: no
-    Poly product is made.  The prefixes are memoized and extended
-    incrementally, so asking for every m <= M at order r costs
-    (r-1)(M+1)(M+2)/2 int products in total, in any order.
-    """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    return _conv_term(r, m)
-
-
-def _rec_row(r: int, n: int) -> list[Poly]:
-    """Row r of the recurrence memo, at least n + 1 long; the caller
-    holds the lock.  Row 0, the convolution unit, is built here; rows
-    1..r are extended in turn, without recursion.
-    """
-    if len(_rec.get(r, ())) > n:
-        return _rec[r]
-    below = [ZERO, ONE] + [ZERO] * max(0, n - 1)  # row 0, the convolution unit
-    for level in range(1, r + 1):
-        row = _rec.setdefault(level, [ZERO, ONE])
-        while len(row) <= n:
-            k = len(row)
-            row.append(below[k] + H * row[k - 1] + row[k - 2])
-        below = row
-    return row
 
 
 def convolved_recurrence(r: int, n: int) -> Poly:
@@ -186,13 +159,23 @@ def convolved_recurrence(r: int, n: int) -> Poly:
         F(r, n) = F(r-1, n) + h*F(r, n-1) + F(r, n-2),   n >= 2,
 
     with F(r, 0) = 0, F(r, 1) = 1 and the convolution unit as row r = 0.
+    The memo rows 1..r are extended in turn under the lock, without
+    recursion.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
     with _lock:
-        return _rec_row(r, n)[n]
+        if len(_rec.get(r, ())) <= n:
+            below = [ZERO, ONE] + [ZERO] * max(0, n - 1)  # row 0, the convolution unit
+            for level in range(1, r + 1):
+                row = _rec.setdefault(level, [ZERO, ONE])
+                while len(row) <= n:
+                    k = len(row)
+                    row.append(below[k] + H * row[k - 1] + row[k - 2])
+                below = row
+        return _rec[r][n]
 
 
 def derivative_identity_sides(r: int, n: int) -> tuple[Poly, Poly]:
@@ -227,9 +210,7 @@ def lucas_decomposition_sides(r: int, j: int) -> tuple[Poly, Poly]:
     rhs = ZERO
     for l in range(r):
         weight = binom(r + l - 1, l) * binom(r - l + j - 1, j)
-        if (r + l) % 2 == 0:
-            term = DISC ** (r - 1 - (r + l) // 2) * lucas(r + j - l)
-        else:
-            term = DISC ** (r - 1 - (r + l - 1) // 2) * fib(r + j - l)
+        seq = lucas if (r + l) % 2 == 0 else fib
+        term = DISC ** (r - 1 - (r + l) // 2) * seq(r + j - l)
         rhs = rhs + weight * term
     return lhs, rhs

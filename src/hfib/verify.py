@@ -366,14 +366,10 @@ def report_to_dict(report: SuiteReport) -> dict:
     """SuiteReport as the documented JSON structure."""
     results = []
     for r in report.results:
-        entry: dict = {
-            "check_id": r.check_id,
-            "params": dict(r.params),
-            "passed": r.passed,
-        }
-        if r.counterexample is not None:
-            entry["counterexample"] = r.counterexample
-        entry["elapsed_ms"] = r.elapsed_ms
+        entry = r._asdict()
+        entry["params"] = dict(r.params)
+        if r.counterexample is None:
+            del entry["counterexample"]
         results.append(entry)
     return {
         "bounds": dict(report.bounds),

@@ -40,6 +40,13 @@ def test_table_default_flags(capsys):
     assert table_text_entries(out) == TABLE_R123
 
 
+def test_table_orders_may_be_spaced(capsys):
+    # each order is read without the spaces around it
+    code, out, _ = run_cli(capsys, "table", "--r", " 1, 2 ,3", "--n-max", "8")
+    assert code == 0
+    assert table_text_entries(out) == TABLE_R123
+
+
 def test_table_byte_identical_across_runs(capsys):
     _, first, _ = run_cli(capsys, "table", "--r", "1,2", "--n-max", "6", "--format", "csv")
     _, second, _ = run_cli(capsys, "table", "--r", "1,2", "--n-max", "6", "--format", "csv")

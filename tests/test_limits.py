@@ -35,6 +35,10 @@ REFUSED = {
     "subst-bits": ["table", "--n-max", "80", "--subst", "10^4400"],
     "at-bits": ["table", "--n-max", str(MAX_LENGTH), "--at", "9" * 4401],
     "subst-at-bits": ["table", "--n-max", str(MAX_LENGTH), "--subst", "h^1000", "--at", "2"],
+    # an integer option takes ASCII digits alone, as --at does
+    "n-max-arabic-digit": ["table", "--n-max", "\u0663"],
+    "n-max-space": ["table", "--n-max", " 5"],
+    "seed-underscore": ["verify", "--seed", "1_0"],
 }
 
 

@@ -246,6 +246,25 @@ def test_thread_safety_of_memo_tables():
         assert prefix == [convolved_closed_form(r, m) for m in range(len(prefix))], r
 
 
+def test_fib_extends_its_memo_while_the_lock_is_held():
+    # route 2 reads fib inside its one locked section, so the lock is re-entrant
+    import threading
+
+    import hfib.sequences as seq
+
+    got = []
+
+    def holder():
+        with seq._lock:
+            got.append(fib(len(seq._fib) + 5))
+
+    thread = threading.Thread(target=holder, daemon=True)
+    thread.start()
+    thread.join(timeout=20)
+    assert not thread.is_alive()
+    assert got and got[0] == convolved_closed_form(1, len(seq._fib) - 2)
+
+
 @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
 def test_convolution_route_work_is_quadratic(order, monkeypatch):
     import hfib.sequences as seq
