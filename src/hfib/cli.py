@@ -22,7 +22,7 @@ FORMATS = ("text", "csv", "json", "latex")
 
 # Size caps, each bounding one command's time and memory (README "Limits")
 MAX_ORDER, MAX_ORDERS, MAX_LENGTH = 100, 16, 300  # r; orders in --r; --n-max, --terms, --n
-MAX_VERIFY_R, MAX_VERIFY_N = 16, 100
+MAX_VERIFY_R, MAX_VERIFY_N, MAX_SEED = 16, 100, 2**64 - 1  # a seed prints within any int/str limit
 # --subst/--at: bits of one coefficient, and entries * (degree + 1) * those bits
 MAX_COEFF_BITS, MAX_TABLE_BITS = 1 << 17, 1 << 24
 
@@ -32,18 +32,15 @@ def _quote(text: str) -> str:
     return repr(text[:40]) + ("..." if len(text) > 40 else "")
 
 
-def _int_in(low: int, high: int | None = None):
-    """argparse type: an integer in low..high (no upper bound for None),
-    written as from_digits reads it.
-    """
+def _int_in(low: int, high: int):
+    """argparse type: an integer in low..high, written as from_digits reads it."""
     def parse(text: str) -> int:
         try:
             value = from_digits(text)
         except ValueError:
             value = None
-        if value is None or value < low or (high is not None and value > high):
-            bounds = f">= {low}" if high is None else f"in {low}..{high}"
-            raise argparse.ArgumentTypeError(f"must be an integer {bounds}, got {_quote(text)}")
+        if value is None or not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be an integer in {low}..{high}, got {_quote(text)}")
         return value
     return parse
 
@@ -244,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the identity suite")
     verify.add_argument("--r-max", type=_int_in(1, MAX_VERIFY_R), default=5)
     verify.add_argument("--n-max", type=_int_in(2, MAX_VERIFY_N), default=30)
-    verify.add_argument("--seed", type=_int_in(0), default=0)
+    verify.add_argument("--seed", type=_int_in(0, MAX_SEED), default=0)
     verify.add_argument("--format", choices=FORMATS, default="text")
     verify.set_defaults(func=cmd_verify)
 

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from hfib.cli import MAX_COEFF_BITS, MAX_TABLE_BITS, MAX_LENGTH, MAX_ORDER, MAX_ORDERS, _build_parser, main
+from hfib.cli import MAX_COEFF_BITS, MAX_TABLE_BITS, MAX_LENGTH, MAX_ORDER, MAX_ORDERS, MAX_SEED, _build_parser, main
 
 LONG = "9x" * 1500  # a 3,000-character argument
 
@@ -39,6 +39,9 @@ REFUSED = {
     "n-max-arabic-digit": ["table", "--n-max", "\u0663"],
     "n-max-space": ["table", "--n-max", " 5"],
     "seed-underscore": ["verify", "--seed", "1_0"],
+    # past CPython's int/str limit a seed could not be printed in the report
+    "seed-digits": ["verify", "--seed", "1" * 5000],
+    "seed-above-cap": ["verify", "--seed", str(MAX_SEED + 1)],
 }
 
 
@@ -101,3 +104,7 @@ def test_caps_admit_the_benchmark_commands(argv):
 def test_caps_admit_the_deep_verify_bounds():
     args = _build_parser().parse_args(["verify", "--r-max", "8", "--n-max", "60"])
     assert (args.r_max, args.n_max) == (8, 60)
+
+
+def test_caps_admit_the_largest_seed():
+    assert _build_parser().parse_args(["verify", "--seed", str(MAX_SEED)]).seed == MAX_SEED
