@@ -2,13 +2,15 @@
 
 All data goes to stdout, diagnostics to stderr.  Exit codes: 0 on
 success (for verify: all checks passed), 1 when verification fails,
-2 on usage errors.  Output is byte-identical across identical
-invocations; the only timing field lives in verify reports.
+2 on usage errors and when the output cannot be written.  Output is
+byte-identical across identical invocations; the only timing field
+lives in verify reports.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .hessenberg import char_poly
@@ -251,10 +253,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except SystemExit as exc:  # a refusal, or --help
-        return int(exc.code or 0)
+        try:
+            args = parser.parse_args(argv)
+            code = args.func(args)
+        except SystemExit as exc:  # a refusal, or --help
+            code = int(exc.code or 0)
+        sys.stdout.flush()
+    except OSError as exc:  # stdout is a closed pipe or a full disk
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)  # the flush at exit then has nothing left to fail on
+        os.close(devnull)
+        print(f"hfib: cannot write output: {exc.strerror}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -8,9 +8,9 @@ the ring core: Dense holds the dense arithmetic and the rendering loop
 of both Poly and TPoly, the polynomials in t with Poly coefficients of
 the characteristic polynomial; ring_pow is the package's one
 square-and-multiply; to_digits and from_digits convert exact integers
-at any size; pack, unpack and widen hold a polynomial in h that has
-only powers of one parity as a single int, the one packed layout of
-the routes that run on ints.
+at any size; pack and unpack hold a polynomial in h that has only
+powers of one parity as a single int, the one packed layout of the
+routes that run on ints.
 
 >>> Poly([0, 2, 0, 1])
 Poly('h^3 + 2h')
@@ -333,12 +333,3 @@ def unpack(packed: int, n: int, width: int) -> Poly:
     coeffs[n % 2::2] = [int.from_bytes(data[k:k + width], "little") for k in range(0, len(data), width)]
     return Poly(coeffs)
 
-
-def widen(packed: int, n: int, old: int, new: int) -> int:
-    """Packed term n, repacked from old to new >= old bytes per
-    coefficient: each coefficient's bytes are padded with zeros, and no
-    Poly is made.
-    """
-    data = packed.to_bytes((n // 2 + 1) * old, "little")
-    pad = bytes(new - old)
-    return int.from_bytes(b"".join(data[k:k + old] + pad for k in range(0, len(data), old)), "little")

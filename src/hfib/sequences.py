@@ -7,15 +7,17 @@ family, coefficient j of (1 - h*t - t^2)^(-r), is computed three
 different ways here -- a double-binomial closed form, r-fold sequence
 convolution, and a three-term recurrence in (r, n) -- so that the
 routes can be checked against each other and against the series and
-minor-sum routes in their own modules.  The convolution route works on
-Python ints: each term has only every other power of h, and its nonzero
-half is held in the ring core's packed layout (poly.pack) at a byte
-width that provably holds every coefficient, so a product of two packed
-terms is one int product.
+minor-sum routes in their own modules.  The convolution and recurrence
+routes return the whole table up to order r, which they build anyway.
+The convolution route works on Python ints: each term has only every
+other power of h, and its nonzero half is held in the ring core's
+packed layout (poly.pack) at a byte width that provably holds every
+coefficient of its level, so a product of two packed terms is one int
+product.
 
-Memo tables only ever grow and are filled under one re-entrant lock,
-which a route holds while it reads fib's memo; all observable behavior
-is pure.
+The only module state is the memo of fib and lucas, which only grows
+and is extended under one re-entrant lock; the routes keep no state,
+and all observable behavior is pure.
 """
 from __future__ import annotations
 
@@ -23,19 +25,12 @@ import math
 import threading
 from operator import mul
 
-from .poly import H, ONE, ZERO, Poly, binom, pack, unpack, widen
+from .poly import H, ONE, ZERO, Poly, binom, pack, unpack
 from .quadext import DISC, QuadExt
 
 _lock = threading.RLock()
 _fib: list[Poly] = [ZERO, ONE]
 _lucas: list[Poly] = [Poly([2]), H]
-# _conv[r][n] is term n of the r-fold self-convolution of (fib(1), fib(2), ...),
-# h^(n%2) * q(h^2), held as the int q(2^(8*_width)); see poly.pack and
-# convolved_convolution
-_conv: dict[int, list[int]] = {}
-_width = 1
-# _rec[r][n] holds the recurrence route for r >= 1.
-_rec: dict[int, list[Poly]] = {}
 
 
 def _memo(table: list[Poly], n: int) -> Poly:
@@ -101,81 +96,72 @@ def _conv_sum(lower: list[int], base: list[int], n: int, shift: int) -> int:
 
 def _bytes_for(r: int, m: int) -> int:
     """Fewest bytes w with C(m+r-1, m) * 2^m < 2^(8w), the bound that
-    convolved_convolution proves for every coefficient up to level r,
-    term m.
+    convolved_convolution proves for every coefficient of its level r,
+    up to term m.
     """
     return ((math.comb(m + r - 1, m) << m).bit_length() + 7) // 8
 
 
-def convolved_convolution(r: int, m: int) -> Poly:
-    """Convolved polynomial F(r, m+1) by r-fold discrete convolution.
+def convolved_convolution(r: int, m: int) -> list[list[Poly]]:
+    """Convolved polynomials by r-fold discrete convolution: table[k-1][i]
+    is F(k, i+1) for 1 <= k <= r and 0 <= i <= m.
 
-    Computed as r-1 pairwise prefix convolutions, never by enumerating
-    the compositions of m, on parity-halved terms packed into ints: no
-    Poly product is made.  Levels 1..r are walked in turn, so any r
-    works without recursion.  _conv[level] only grows, under the lock: a
-    request computes just the missing terms n = len(_conv[level])..m,
-    each by _conv_sum from level level-1, which was extended to the same
-    length first, and from the base, level 1.  So asking for every
-    m <= M at order r costs (r-1)(M+1)(M+2)/2 int products in total, in
-    any order.
+    Level 1 is fib(1..m+1), and level k is the convolution of level k-1
+    with level 1, built term by term by _conv_sum on parity-halved terms
+    packed into ints (poly.pack): no Poly product is made, and the
+    levels are walked in turn, so any r works without recursion.  Term n
+    of a level costs n + 1 int products, so one call costs
+    (r-1)(m+1)(m+2)/2 of them.
 
-    Packing is exact: every coefficient of term m at level L is
+    Packing is exact: every coefficient of term n at level k is
     nonnegative and at most the term's value at h = 1, the coefficient
-    of t^m in (1 - t - t^2)^(-L).  Since F(k+1)(1) <= 2^k, that is at
-    most [t^m](1 - 2t)^(-L) = C(m+L-1, m) * 2^m.  Each product and each
-    partial sum in _conv_sum is coefficientwise between 0 and the final
-    term, and the bound grows with L and m, so once it is below
-    2^(8*_width) no carry crosses into the next packed coefficient.  A
-    request that needs more bytes (_bytes_for) widens to exactly that
-    need and repacks the memo by widen: at most once per byte of the
-    width, each time in time linear in the memo.
+    of t^n in (1 - t - t^2)^(-k).  Since F(i+1)(1) <= 2^i, that is at
+    most [t^n](1 - 2t)^(-k) = C(n+k-1, n) * 2^n, which grows with n and
+    with k.  So _bytes_for(k, m) bytes hold every coefficient of levels
+    1..k up to term m, and as each product and each partial sum in
+    _conv_sum is coefficientwise between 0 and the term it builds, no
+    carry crosses into the next packed coefficient while level k is
+    built at that width.  The width grows with k: where it grows, the
+    base and the level below are packed again from their Polys, and
+    where it does not, the packed level below is used as it is.
     """
-    global _width
     if r < 1:
         raise ValueError("r must be >= 1")
     if m < 0:
         raise ValueError("m must be >= 0")
-    with _lock:
-        if len(_conv.get(r, ())) <= m:
-            need = _bytes_for(r, m)
-            if need > _width:
-                old, _width = _width, need
-                for prefix in _conv.values():
-                    prefix[:] = [widen(x, n, old, _width) for n, x in enumerate(prefix)]
-            base = _conv.setdefault(1, [])
-            base.extend(pack(fib(n + 1), n, _width) for n in range(len(base), m + 1))
-            prefix, shift = base, 8 * _width
-            for level in range(2, r + 1):
-                lower, prefix = prefix, _conv.setdefault(level, [])
-                for n in range(len(prefix), m + 1):
-                    prefix.append(_conv_sum(lower, base, n, shift))
-        return unpack(_conv[r][m], m, _width)
+    table = [[fib(n + 1) for n in range(m + 1)]]
+    width = 0
+    for k in range(2, r + 1):
+        need = _bytes_for(k, m)
+        if need > width:
+            width = need
+            base = [pack(p, n, width) for n, p in enumerate(table[0])]
+            lower = [pack(p, n, width) for n, p in enumerate(table[-1])]
+        lower = [_conv_sum(lower, base, n, 8 * width) for n in range(m + 1)]
+        table.append([unpack(x, n, width) for n, x in enumerate(lower)])
+    return table
 
 
-def convolved_recurrence(r: int, n: int) -> Poly:
-    """Convolved polynomial F(r, n) by the three-term recurrence
+def convolved_recurrence(r: int, n: int) -> list[list[Poly]]:
+    """Convolved polynomials by the three-term recurrence: rows[k-1][i]
+    is F(k, i) for 1 <= k <= r and 0 <= i <= n, where
 
-        F(r, n) = F(r-1, n) + h*F(r, n-1) + F(r, n-2),   n >= 2,
+        F(k, i) = F(k-1, i) + h*F(k, i-1) + F(k, i-2),   i >= 2,
 
-    with F(r, 0) = 0, F(r, 1) = 1 and the convolution unit as row r = 0.
-    The memo rows 1..r are extended in turn under the lock, without
-    recursion.
+    with F(k, 0) = 0, F(k, 1) = 1 and the convolution unit as row k = 0.
+    The rows are built in turn, without recursion.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    with _lock:
-        if len(_rec.get(r, ())) <= n:
-            below = [ZERO, ONE] + [ZERO] * max(0, n - 1)  # row 0, the convolution unit
-            for level in range(1, r + 1):
-                row = _rec.setdefault(level, [ZERO, ONE])
-                while len(row) <= n:
-                    k = len(row)
-                    row.append(below[k] + H * row[k - 1] + row[k - 2])
-                below = row
-        return _rec[r][n]
+    rows = [[ZERO, ONE] + [ZERO] * (n - 1)]  # row 0, the convolution unit
+    for _ in range(r):
+        row = [ZERO, ONE][:n + 1]
+        for i in range(2, n + 1):
+            row.append(rows[-1][i] + H * row[i - 1] + row[i - 2])
+        rows.append(row)
+    return rows[1:]
 
 
 def derivative_identity_sides(r: int, n: int) -> tuple[Poly, Poly]:

@@ -126,12 +126,14 @@ def _check_ring_axioms(r_max: int, n_max: int, rng: random.Random) -> Iterator[I
 
 
 def _check_five_way(r_max: int, n_max: int, rng: random.Random) -> Iterator[Instance]:
+    by_convolution = convolved_convolution(r_max, n_max)
+    by_recurrence = convolved_recurrence(r_max, n_max + 1)
     for r in range(1, r_max + 1):
         from_series = convolved_series(r, n_max + 1)
         for j in range(n_max + 1):
             expected = convolved_closed_form(r, j)
-            yield f"r={r} j={j} convolution", convolved_convolution(r, j), expected
-            yield f"r={r} j={j} recurrence", convolved_recurrence(r, j + 1), expected
+            yield f"r={r} j={j} convolution", by_convolution[r - 1][j], expected
+            yield f"r={r} j={j} recurrence", by_recurrence[r - 1][j + 1], expected
             yield f"r={r} j={j} series", from_series[j], expected
 
 

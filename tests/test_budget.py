@@ -1,17 +1,22 @@
-"""The code size of src/hfib, held to a committed budget.
+"""The code size of src/hfib and the work of each verify check, held
+to a committed budget.
 
 Every CLI command compiles the package again where bytecode is not
 cached, so code lines cost command time; docstrings, comments and blank
 lines cost almost none and are not counted.  Each module's count of
-code lines may not exceed its entry in budget.json.  A change that
-shrinks a module lowers its entry; one that grows it raises the entry
-and says why.
+code lines may not exceed its entry in budget.json.  Products are
+exact where times are noisy: each verify check's count of ring
+products at --r-max 8 --n-max 60 may not exceed its entry either.  A
+change that shrinks a module or a count lowers its entry; one that
+grows it raises the entry and says why.
 """
 from __future__ import annotations
 
 import ast
 import io
 import json
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
@@ -60,4 +65,52 @@ def test_each_module_keeps_to_its_code_line_budget():
     counts = {path.name: code_lines(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     assert counts.keys() == budget.keys()  # a new or deleted module updates the budget
     over = {name: (count, budget[name]) for name, count in counts.items() if count > budget[name]}
+    assert not over, over
+
+
+# Counts every Dense product (Poly and TPoly) and every int product of
+# route 2 (n + 1 per packed term, as _conv_sum makes them), and charges
+# each to the check that is running.  A fresh process and the fixed
+# check order make the counts exact: the memo of fib and lucas starts
+# empty.
+PRODUCTS = """
+import json
+import hfib.sequences as seq
+import hfib.verify as verify
+from hfib.poly import Dense
+
+counts = dict.fromkeys(verify.check_ids(), 0)
+running = [None]
+mul, conv_sum, run_check = Dense.__mul__, seq._conv_sum, verify._run_check
+
+def counted_mul(a, b):
+    counts[running[0]] += 1
+    return mul(a, b)
+
+def counted_sum(lower, base, n, shift):
+    counts[running[0]] += n + 1
+    return conv_sum(lower, base, n, shift)
+
+def charged_check(check_id, *args):
+    running[0] = check_id
+    try:
+        return run_check(check_id, *args)
+    finally:
+        running[0] = None
+
+Dense.__mul__ = Dense.__rmul__ = counted_mul
+seq._conv_sum = counted_sum
+verify._run_check = charged_check
+assert verify.run_suite(8, 60).all_passed
+print(json.dumps(counts))
+"""
+
+
+def test_each_check_keeps_to_its_product_budget():
+    budget = json.loads(BUDGET.read_text())["products"]
+    proc = subprocess.run([sys.executable, "-c", PRODUCTS], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    counts = json.loads(proc.stdout)
+    assert counts.keys() == budget.keys()  # a new or deleted check updates the budget
+    over = {check: (count, budget[check]) for check, count in counts.items() if count > budget[check]}
     assert not over, over

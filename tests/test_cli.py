@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -388,3 +390,42 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert table_text_entries(proc.stdout) == [["0"], ["1"], ["h"]]
+
+
+# verify's report and the help fail at main's flush; gf's 2.4 MB fails
+# inside print
+UNWRITABLE = {
+    "help": ["--help"],
+    "verify": ["verify"],
+    "table": ["table", "--r", "1,2,3", "--n-max", "80"],
+    "gf": ["gf", "--r", "100", "--terms", "300"],
+}
+
+
+def run_into(stdout, argv):
+    # stdout buffered, as it is by default, so that a short output meets
+    # the error only when it is flushed
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, "-m", "hfib", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=120, env=env)
+
+
+@pytest.mark.parametrize("argv", UNWRITABLE.values(), ids=UNWRITABLE.keys())
+def test_output_into_a_closed_pipe_is_one_line_and_exit_2(argv):
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the child starts
+    try:
+        proc = run_into(write, argv)
+    finally:
+        os.close(write)
+    # one line: no traceback, and no "Exception ignored" from the flush at exit
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [f"hfib: cannot write output: {os.strerror(errno.EPIPE)}"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_output_onto_a_full_device_is_one_line_and_exit_2():
+    with open("/dev/full", "w") as full:
+        proc = run_into(full, ["verify"])
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [f"hfib: cannot write output: {os.strerror(errno.ENOSPC)}"]

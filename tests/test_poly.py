@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hfib import H, ONE, ZERO, Poly, QuadExt, TPoly, binom, convolved_closed_form
-from hfib.poly import from_digits, pack, ring_pow, to_digits, unpack, widen
+from hfib.poly import from_digits, pack, ring_pow, to_digits, unpack
 
 from golden import compose
 
@@ -250,7 +250,6 @@ def test_pack_fills_a_slot_to_its_last_byte():
     assert unpack(0xFFFF, 2, 1) == Poly([255, 0, 255])
     assert pack(Poly([0, 65535]), 5, 2) == 0xFFFF
     assert unpack(0xFFFF, 5, 2) == Poly([0, 65535])
-    assert widen(0xFFFF, 5, 2, 3) == 0xFFFF and widen(0xFF00FF, 4, 1, 2) == 0xFF000000FF
     assert unpack(0, 6, 3) == ZERO
 
 
@@ -263,8 +262,6 @@ def test_pack_round_trips_any_term_that_fits(width, n, data):
     packed = pack(term, n, width)
     assert packed >> 8 * width * (n // 2 + 1) == 0
     assert unpack(packed, n, width) == term
-    extra = data.draw(st.integers(min_value=0, max_value=3))
-    assert widen(packed, n, width, width + extra) == pack(term, n, width + extra)
 
 
 def test_pack_round_trips_every_term():
@@ -276,7 +273,6 @@ def test_pack_round_trips_every_term():
             term = convolved_closed_form(r, m)
             packed = pack(term, m, width)
             assert unpack(packed, m, width) == term, (r, m)
-            assert widen(packed, m, width, width + 3) == pack(term, m, width + 3), (r, m)
 
 
 @pytest.mark.parametrize(

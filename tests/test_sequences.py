@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import random
 import sys
 
 import pytest
@@ -28,7 +27,6 @@ from hfib import (
     lucas,
     lucas_decomposition_sides,
 )
-from hfib.poly import unpack
 
 DISC = Poly([4, 0, 1])
 
@@ -70,45 +68,58 @@ def test_closed_form_examples():
 
 
 def test_convolution_examples():
-    assert str(convolved_convolution(1, 4)) == "h^4 + 3h^2 + 1"
-    assert convolved_convolution(2, 2) == Poly([2, 0, 3])
-    assert convolved_convolution(2, 2) == ONE * Poly([1, 0, 1]) + H * H + Poly([1, 0, 1]) * ONE
-    assert str(convolved_convolution(3, 2)) == "6h^2 + 3"
+    table = convolved_convolution(3, 4)  # table[k-1][i] is F(k, i+1)
+    assert [len(level) for level in table] == [5, 5, 5]
+    assert str(table[0][4]) == "h^4 + 3h^2 + 1"
+    assert table[1][2] == Poly([2, 0, 3])
+    assert table[1][2] == ONE * Poly([1, 0, 1]) + H * H + Poly([1, 0, 1]) * ONE
+    assert str(table[2][2]) == "6h^2 + 3"
+    assert convolved_convolution(1, 0) == [[ONE]]
 
 
 def test_recurrence_examples():
-    assert convolved_recurrence(2, 2) == Poly([0, 2])
-    assert str(convolved_recurrence(1, 6)) == "h^5 + 4h^3 + 3h"
-    assert str(convolved_recurrence(3, 5)) == "15h^4 + 30h^2 + 6"
-    assert convolved_recurrence(4, 0) == Poly()
-    assert convolved_recurrence(4, 1) == ONE
+    rows = convolved_recurrence(4, 6)  # rows[k-1][i] is F(k, i)
+    assert [len(row) for row in rows] == [7, 7, 7, 7]
+    assert rows[1][2] == Poly([0, 2])
+    assert str(rows[0][6]) == "h^5 + 4h^3 + 3h"
+    assert str(rows[2][5]) == "15h^4 + 30h^2 + 6"
+    assert rows[3][0] == Poly()
+    assert rows[3][1] == ONE
+    assert convolved_recurrence(4, 0) == [[Poly()]] * 4
+    assert convolved_recurrence(2, 1) == [[Poly(), ONE]] * 2
 
 
 def test_all_routes_match_frozen_table():
+    n_max = len(TABLE_R123) - 1
+    table = convolved_convolution(3, n_max - 1)
+    rows = convolved_recurrence(3, n_max)
     for n, row in enumerate(TABLE_R123):
         for col, r in enumerate((1, 2, 3)):
             if n == 0:
                 continue
             expected = row[col]
             assert str(convolved_closed_form(r, n - 1)) == expected
-            assert str(convolved_convolution(r, n - 1)) == expected
-            assert str(convolved_recurrence(r, n)) == expected
+            assert str(table[r - 1][n - 1]) == expected
+            assert str(rows[r - 1][n]) == expected
             assert str(convolved_series(r, n)[n - 1]) == expected
 
 
 def test_convolution_against_composition_enumeration():
+    table = convolved_convolution(3, 8)
     for r in range(1, 4):
         for m in range(9):
-            assert convolved_convolution(r, m) == convolved_by_compositions(r, m), (r, m)
+            assert table[r - 1][m] == convolved_by_compositions(r, m), (r, m)
 
 
 def test_five_way_agreement():
+    table = convolved_convolution(6, 40)
+    rows = convolved_recurrence(6, 41)
     for r in range(1, 7):
         from_series = convolved_series(r, 41)
         for j in range(41):
             expected = convolved_closed_form(r, j)
-            assert convolved_convolution(r, j) == expected, (r, j)
-            assert convolved_recurrence(r, j + 1) == expected, (r, j)
+            assert table[r - 1][j] == expected, (r, j)
+            assert rows[r - 1][j + 1] == expected, (r, j)
             assert from_series[j] == expected, (r, j)
 
 
@@ -210,25 +221,24 @@ def test_thread_safety_of_memo_tables():
     with seq._lock:
         del seq._fib[2:]
         del seq._lucas[2:]
-        seq._conv.clear()
-        seq._rec.clear()
 
     errors = []
+    expected = convolved_convolution(5, 24)
 
-    def worker(seed):
-        # each worker extends the convolution prefixes in its own
-        # interleaved, non-monotone order of (r, j)
-        requests = [(r, j) for r in range(1, 6) for j in range(25)]
-        random.Random(seed).shuffle(requests)
+    def worker():
+        # fib and lucas race to extend their memo; routes 2 and 3 read fib
+        # or keep no state, so every worker must build the same tables
         try:
             for n in range(1, 80):
                 assert fib(n) == convolved_closed_form(1, n - 1)
-            for r, j in requests:
-                assert convolved_convolution(r, j) == convolved_recurrence(r, j + 1)
+                assert lucas(n) == fib(n - 1) + fib(n + 1)
+            rows = convolved_recurrence(5, 25)
+            assert convolved_convolution(5, 24) == expected
+            assert [row[1:] for row in rows] == expected
         except Exception as exc:  # pragma: no cover - only on failure
             errors.append(exc)
 
-    threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+    threads = [threading.Thread(target=worker) for _ in range(8)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # switch threads often, so the races happen
     try:
@@ -241,13 +251,13 @@ def test_thread_safety_of_memo_tables():
     assert not any(t.is_alive() for t in threads)
     assert not errors
     # racing extensions must neither drop nor duplicate memoized terms
-    for r in range(1, 6):
-        prefix = [unpack(packed, m, seq._width) for m, packed in enumerate(seq._conv[r])]
-        assert prefix == [convolved_closed_form(r, m) for m in range(len(prefix))], r
+    assert len(seq._fib) == 81 and len(seq._lucas) == 80
+    assert seq._fib[1:] == [convolved_closed_form(1, n) for n in range(80)]
+    assert seq._lucas[1:] == [seq._fib[n - 1] + seq._fib[n + 1] for n in range(1, 80)]
 
 
 def test_fib_extends_its_memo_while_the_lock_is_held():
-    # route 2 reads fib inside its one locked section, so the lock is re-entrant
+    # the lock is re-entrant, so a holder of it can still extend fib's memo
     import threading
 
     import hfib.sequences as seq
@@ -265,20 +275,11 @@ def test_fib_extends_its_memo_while_the_lock_is_held():
     assert got and got[0] == convolved_closed_form(1, len(seq._fib) - 2)
 
 
-@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
-def test_convolution_route_work_is_quadratic(order, monkeypatch):
+def test_convolution_route_work_is_quadratic(monkeypatch):
     import hfib.sequences as seq
 
-    r_max, length = 8, 61
-    requests = [(r, j) for r in range(1, r_max + 1) for j in range(length)]
-    if order == "descending":
-        requests.reverse()
-    elif order == "shuffled":
-        random.Random(0).shuffle(requests)
-    fib(length)  # warm the base sequence so that only convolution products count
-    with seq._lock:
-        seq._conv.clear()
-
+    r, m = 8, 60
+    fib(m + 1)  # warm the base sequence so that only convolution products count
     products = 0
     conv_sum = seq._conv_sum
 
@@ -297,14 +298,19 @@ def test_convolution_route_work_is_quadratic(order, monkeypatch):
 
     monkeypatch.setattr(seq, "_conv_sum", counted_sum)
     monkeypatch.setattr(Poly, "__mul__", counted_mul)
-    got = {(r, j): convolved_convolution(r, j) for r, j in requests}
+    counts = []
+    for _ in range(2):  # no state is kept, so a second call does the same work
+        products = 0
+        table = convolved_convolution(r, m)
+        counts.append(products)
     monkeypatch.undo()
-    # level k = 2..r_max convolves level k-1 with the base sequence once:
-    # term m of a prefix costs m + 1 products
-    assert products == (r_max - 1) * length * (length + 1) // 2
+    # level k = 2..r convolves level k-1 with the base sequence once:
+    # term n of a level costs n + 1 products
+    assert counts == [(r - 1) * (m + 1) * (m + 2) // 2] * 2
     assert poly_products == 0  # with fib warm, the route multiplies only ints
-    for (r, j), value in got.items():
-        assert value == convolved_closed_form(r, j), (r, j)
+    for k in range(1, r + 1):
+        for i in range(m + 1):
+            assert table[k - 1][i] == convolved_closed_form(k, i), (k, i)
 
 
 def test_packing_width_holds_every_coefficient_up_to_the_verify_caps():
@@ -316,45 +322,44 @@ def test_packing_width_holds_every_coefficient_up_to_the_verify_caps():
             assert all(0 <= c < limit for c in convolved_closed_form(r, m).coeffs), (r, m)
 
 
-def test_repacking_keeps_every_memoized_term():
+def test_each_level_is_packed_at_its_own_width(monkeypatch):
     import hfib.sequences as seq
 
-    with seq._lock:
-        seq._conv.clear()
-        seq._width = 1
-    widths = []
-    for r, m in [(2, 5), (2, 60), (12, 150), (3, 1)]:
-        assert convolved_convolution(r, m) == convolved_closed_form(r, m), (r, m)
-        widths.append(seq._width)
-    assert widths[0] < widths[1] < widths[2] == widths[3]  # two repacks
-    for r, prefix in seq._conv.items():
-        assert len(prefix) == 151, r
-        for m, packed in enumerate(prefix):
-            assert unpack(packed, m, seq._width) == convolved_closed_form(r, m), (r, m)
+    r, m = 16, 100
+    packed, shifts = [], []
+    pack, conv_sum = seq.pack, seq._conv_sum
+
+    def watched_pack(term, n, width):
+        packed.append(width)
+        return pack(term, n, width)
+
+    def watched_sum(lower, base, n, shift):
+        shifts.append(shift)
+        return conv_sum(lower, base, n, shift)
+
+    monkeypatch.setattr(seq, "pack", watched_pack)
+    monkeypatch.setattr(seq, "_conv_sum", watched_sum)
+    table = convolved_convolution(r, m)
+    monkeypatch.undo()
+    widths = [seq._bytes_for(k, m) for k in range(2, r + 1)]
+    # level k is summed at its own width, and the base and the level below
+    # are packed again (m + 1 terms each) exactly where that width grows
+    assert shifts == [8 * w for w in widths for _ in range(m + 1)]
+    grown = sorted(set(widths))  # widths never shrink as k grows
+    assert packed == [w for w in grown for _ in range(2 * (m + 1))]
+    assert widths[-1] == 21 and len(grown) < len(widths)
+    for k in range(1, r + 1):
+        for i in range(m + 1):
+            assert table[k - 1][i] == convolved_closed_form(k, i), (k, i)
 
 
-def test_widening_ends_at_the_exact_need():
-    # doubling the old width instead would end this order at 32 bytes, not 21
-    import hfib.sequences as seq
-
-    with seq._lock:
-        seq._conv.clear()
-        seq._width = 1
-    for r in range(1, 17):
-        for m in range(101):
-            convolved_convolution(r, m)
-    assert seq._width == seq._bytes_for(16, 100) == 21
-    assert convolved_convolution(16, 100) == convolved_closed_form(16, 100)
-
-
-def test_memo_walks_thousands_of_orders_without_recursion():
-    # warm the low levels first; the request then adds levels 3..3000
-    convolved_convolution(2, 2)
-    convolved_recurrence(2, 3)
+def test_routes_walk_thousands_of_orders_without_recursion():
+    table = convolved_convolution(3000, 2)
+    rows = convolved_recurrence(3000, 3)
     for m in range(3):
         expected = convolved_closed_form(3000, m)
-        assert convolved_convolution(3000, m) == expected, m
-        assert convolved_recurrence(3000, m + 1) == expected, m
+        assert table[-1][m] == expected, m
+        assert rows[-1][m + 1] == expected, m
 
 
 def test_derivative_identity_sides():
