@@ -9,6 +9,8 @@ lives in verify reports.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
@@ -252,12 +254,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    printed = io.StringIO()  # argparse drops a failed write, so --help is written here
     try:
         try:
-            args = parser.parse_args(argv)
+            with contextlib.redirect_stdout(printed):
+                args = parser.parse_args(argv)
             code = args.func(args)
         except SystemExit as exc:  # a refusal, or --help
             code = int(exc.code or 0)
+        sys.stdout.write(printed.getvalue())
         sys.stdout.flush()
     except OSError as exc:  # stdout is a closed pipe or a full disk
         devnull = os.open(os.devnull, os.O_WRONLY)

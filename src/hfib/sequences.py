@@ -11,9 +11,9 @@ minor-sum routes in their own modules.  The convolution and recurrence
 routes return the whole table up to order r, which they build anyway.
 The convolution route works on Python ints: each term has only every
 other power of h, and its nonzero half is held in the ring core's
-packed layout (poly.pack) at a byte width that provably holds every
-coefficient of its level, so a product of two packed terms is one int
-product.
+packed layout (poly.pack) at one byte width for the whole table, taken
+from a Fibonacci bound that provably holds every coefficient, so a
+product of two packed terms is one int product.
 
 The only module state is the memo of fib and lucas, which only grows
 and is extended under one re-entrant lock; the routes keep no state,
@@ -94,14 +94,6 @@ def _conv_sum(lower: list[int], base: list[int], n: int, shift: int) -> int:
     return even + (odd << shift)
 
 
-def _bytes_for(r: int, m: int) -> int:
-    """Fewest bytes w with C(m+r-1, m) * 2^m < 2^(8w), the bound that
-    convolved_convolution proves for every coefficient of its level r,
-    up to term m.
-    """
-    return ((math.comb(m + r - 1, m) << m).bit_length() + 7) // 8
-
-
 def convolved_convolution(r: int, m: int) -> list[list[Poly]]:
     """Convolved polynomials by r-fold discrete convolution: table[k-1][i]
     is F(k, i+1) for 1 <= k <= r and 0 <= i <= m.
@@ -113,30 +105,29 @@ def convolved_convolution(r: int, m: int) -> list[list[Poly]]:
     of a level costs n + 1 int products, so one call costs
     (r-1)(m+1)(m+2)/2 of them.
 
-    Packing is exact: every coefficient of term n at level k is
-    nonnegative and at most the term's value at h = 1, the coefficient
-    of t^n in (1 - t - t^2)^(-k).  Since F(i+1)(1) <= 2^i, that is at
-    most [t^n](1 - 2t)^(-k) = C(n+k-1, n) * 2^n, which grows with n and
-    with k.  So _bytes_for(k, m) bytes hold every coefficient of levels
-    1..k up to term m, and as each product and each partial sum in
-    _conv_sum is coefficientwise between 0 and the term it builds, no
-    carry crosses into the next packed coefficient while level k is
-    built at that width.  The width grows with k: where it grows, the
-    base and the level below are packed again from their Polys, and
-    where it does not, the packed level below is used as it is.
+    Packing is exact at one width for the whole table.  Every
+    coefficient of term n at level k is nonnegative and at most the
+    term's value at h = 1, the coefficient of t^n in (1 - t - t^2)^(-k):
+    the sum, over the C(n+k-1, n) weak compositions i_1 + ... + i_k = n,
+    of the product of the Fibonacci numbers F(i_j + 1).  As
+    F(a+b+1) = F(a+1)F(b+1) + F(a)F(b) >= F(a+1)F(b+1), each product
+    is at most F(n+1), so the coefficient is at most C(n+k-1, n)F(n+1),
+    which grows with n and with k.  So the fewest bytes that hold
+    C(m+r-1, m)F(m+1), with F(m+1) read from the base as table[0][m](1),
+    hold every coefficient of the table; and as each product and each
+    partial sum in _conv_sum is coefficientwise between 0 and the term
+    it builds, no carry crosses into the next packed coefficient.  The
+    base is packed once, and each level is summed and unpacked at that
+    width.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     if m < 0:
         raise ValueError("m must be >= 0")
     table = [[fib(n + 1) for n in range(m + 1)]]
-    width = 0
-    for k in range(2, r + 1):
-        need = _bytes_for(k, m)
-        if need > width:
-            width = need
-            base = [pack(p, n, width) for n, p in enumerate(table[0])]
-            lower = [pack(p, n, width) for n, p in enumerate(table[-1])]
+    width = ((math.comb(m + r - 1, m) * table[0][m](1)).bit_length() + 7) // 8
+    base = lower = [pack(p, n, width) for n, p in enumerate(table[0])]
+    for _ in range(r - 1):
         lower = [_conv_sum(lower, base, n, 8 * width) for n in range(m + 1)]
         table.append([unpack(x, n, width) for n, x in enumerate(lower)])
     return table

@@ -392,20 +392,23 @@ def test_module_entry_point():
     assert table_text_entries(proc.stdout) == [["0"], ["1"], ["h"]]
 
 
-# verify's report and the help fail at main's flush; gf's 2.4 MB fails
+# buffered, verify's report and the help fail at main's flush; gf's 2.4 MB fails
 # inside print
 UNWRITABLE = {
     "help": ["--help"],
+    "table_help": ["table", "--help"],
     "verify": ["verify"],
     "table": ["table", "--r", "1,2,3", "--n-max", "80"],
     "gf": ["gf", "--r", "100", "--terms", "300"],
 }
 
 
-def run_into(stdout, argv):
-    # stdout buffered, as it is by default, so that a short output meets
-    # the error only when it is flushed
+def run_into(stdout, argv, unbuffered):
+    # stdout buffered, as it is by default, meets the error only when a
+    # short output is flushed; unbuffered, it meets it at the first write
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run([sys.executable, "-m", "hfib", *argv], stdout=stdout,
                           stderr=subprocess.PIPE, text=True, timeout=120, env=env)
 
@@ -415,17 +418,20 @@ def test_output_into_a_closed_pipe_is_one_line_and_exit_2(argv):
     read, write = os.pipe()
     os.close(read)  # the reader is gone before the child starts
     try:
-        proc = run_into(write, argv)
+        procs = [run_into(write, argv, unbuffered) for unbuffered in (False, True)]
     finally:
         os.close(write)
     # one line: no traceback, and no "Exception ignored" from the flush at exit
-    assert proc.returncode == 2
-    assert proc.stderr.splitlines() == [f"hfib: cannot write output: {os.strerror(errno.EPIPE)}"]
+    for proc in procs:
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [f"hfib: cannot write output: {os.strerror(errno.EPIPE)}"]
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 def test_output_onto_a_full_device_is_one_line_and_exit_2():
-    with open("/dev/full", "w") as full:
-        proc = run_into(full, ["verify"])
-    assert proc.returncode == 2
-    assert proc.stderr.splitlines() == [f"hfib: cannot write output: {os.strerror(errno.ENOSPC)}"]
+    for argv in (["verify"], ["--help"], ["table", "--help"]):
+        for unbuffered in (False, True):
+            with open("/dev/full", "w") as full:
+                proc = run_into(full, argv, unbuffered)
+            assert proc.returncode == 2, (argv, unbuffered)
+            assert proc.stderr.splitlines() == [f"hfib: cannot write output: {os.strerror(errno.ENOSPC)}"]

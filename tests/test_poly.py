@@ -264,10 +264,19 @@ def test_pack_round_trips_any_term_that_fits(width, n, data):
     assert unpack(packed, n, width) == term
 
 
-def test_pack_round_trips_every_term():
+def test_pack_round_trips_every_term(monkeypatch):
     import hfib.sequences as seq
 
-    width = seq._bytes_for(8, 60)
+    widths = set()
+
+    def watched_pack(term, n, width):
+        widths.add(width)
+        return pack(term, n, width)
+
+    monkeypatch.setattr(seq, "pack", watched_pack)
+    seq.convolved_convolution(8, 60)
+    monkeypatch.undo()
+    (width,) = widths  # route 2's one width at (8, 60)
     for r in range(1, 9):
         for m in range(61):
             term = convolved_closed_form(r, m)

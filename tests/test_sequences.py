@@ -313,16 +313,39 @@ def test_convolution_route_work_is_quadratic(monkeypatch):
             assert table[k - 1][i] == convolved_closed_form(k, i), (k, i)
 
 
-def test_packing_width_holds_every_coefficient_up_to_the_verify_caps():
+class _Packed(Exception):
+    """Raised by a stand-in for pack, to read the width route 2 chose."""
+
+
+def _route_width(monkeypatch, r, m):
+    """The byte width convolved_convolution(r, m) packs at, read from its
+    first pack call, which comes before any int product is made."""
     import hfib.sequences as seq
 
+    def stop(term, n, width):
+        raise _Packed(width)
+
+    monkeypatch.setattr(seq, "pack", stop)
+    with pytest.raises(_Packed) as packed:
+        convolved_convolution(r, m)
+    monkeypatch.undo()
+    return packed.value.args[0]
+
+
+def test_packing_width_holds_every_coefficient_up_to_the_verify_caps(monkeypatch):
+    slack = []
     for r in range(1, 17):
         for m in range(101):
-            limit = 1 << (8 * seq._bytes_for(r, m))
-            assert all(0 <= c < limit for c in convolved_closed_form(r, m).coeffs), (r, m)
+            width = _route_width(monkeypatch, r, m)
+            coeffs = convolved_closed_form(r, m).coeffs
+            need = (max(coeffs).bit_length() + 7) // 8
+            assert min(coeffs) >= 0 and need <= width <= need + 2, (r, m, width, need)
+            slack.append(width - need)
+    # the Fibonacci bound is within a byte of the need almost everywhere
+    assert slack.count(2) == 6 and len(slack) == 1616
 
 
-def test_each_level_is_packed_at_its_own_width(monkeypatch):
+def test_every_level_is_packed_at_one_width(monkeypatch):
     import hfib.sequences as seq
 
     r, m = 16, 100
@@ -341,13 +364,9 @@ def test_each_level_is_packed_at_its_own_width(monkeypatch):
     monkeypatch.setattr(seq, "_conv_sum", watched_sum)
     table = convolved_convolution(r, m)
     monkeypatch.undo()
-    widths = [seq._bytes_for(k, m) for k in range(2, r + 1)]
-    # level k is summed at its own width, and the base and the level below
-    # are packed again (m + 1 terms each) exactly where that width grows
-    assert shifts == [8 * w for w in widths for _ in range(m + 1)]
-    grown = sorted(set(widths))  # widths never shrink as k grows
-    assert packed == [w for w in grown for _ in range(2 * (m + 1))]
-    assert widths[-1] == 21 and len(grown) < len(widths)
+    # the base is packed once, and every level is summed at its width
+    assert packed == [17] * (m + 1)
+    assert shifts == [8 * 17] * ((r - 1) * (m + 1))
     for k in range(1, r + 1):
         for i in range(m + 1):
             assert table[k - 1][i] == convolved_closed_form(k, i), (k, i)
