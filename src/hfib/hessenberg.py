@@ -26,7 +26,8 @@ from .poly import H, ONE, ZERO, Poly, TPoly, binom, unpack
 
 
 class IndexOutOfRange(IndexError):
-    """A deletion index list is not strictly increasing inside 1..n."""
+    """A deletion index is not an int, or the list is not strictly
+    increasing inside 1..n."""
 
 
 class HessMatrix:
@@ -144,8 +145,8 @@ def principal_minor(n: int, deleted: Iterable[int]) -> Poly:
     deleted = tuple(deleted)
     prev = 0
     for i in deleted:
-        if not prev < i <= n:
-            raise IndexOutOfRange(f"deletion indices must be strictly increasing in 1..{n}")
+        if not (isinstance(i, int) and prev < i <= n):
+            raise IndexOutOfRange(f"deletion indices must be strictly increasing ints in 1..{n}")
         prev = i
     gone = set(deleted)
     kept = [i for i in range(1, n + 1) if i not in gone]

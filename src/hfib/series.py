@@ -55,7 +55,7 @@ class Series:
 
             n*a0*b[n] = sum over i = 1..n of ((k+1)*i - n) * a[i] * b[n-i]
 
-        from b[0] = a0^k.  Zero a[i] are skipped, so a series with s
+        from b[0] = a0^k.  Zero a[i] are left out, so a series with s
         nonzero tail coefficients costs at most s ring products per term:
         2N products for N terms of the 3-term kernel.  As a0 is 1 or -1,
         dividing by n*a0 divides each integer coefficient of the sum, and

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from itertools import product as cartesian
 
-from hfib import Poly, fib
+from hfib import Poly, fib, verify
 
 # Convolved polynomials, canonical text, rows n = 0..8, columns r = 1, 2, 3.
 TABLE_R123 = [
@@ -69,6 +69,22 @@ def compose(p: Poly, e: Poly) -> Poly:
     for c in reversed(p.coeffs):
         result = result * e + Poly([c])
     return result
+
+
+def corrupt_check(monkeypatch, check_id: str) -> None:
+    """Patch verify._CHECKS so that the first lhs of `check_id` gets its
+    ring's one added: one wrong value, which must fail that check only.
+    """
+    generate = dict(verify._CHECKS)[check_id]
+
+    def corrupted(r_max, n_max, rng):
+        instances = generate(r_max, n_max, rng)
+        desc, lhs, rhs = next(instances)
+        yield desc, lhs + lhs**0, rhs
+        yield from instances
+
+    checks = tuple((name, corrupted if name == check_id else g) for name, g in verify._CHECKS)
+    monkeypatch.setattr(verify, "_CHECKS", checks)
 
 
 def assert_valid_report_dict(obj: dict) -> None:

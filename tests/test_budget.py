@@ -79,7 +79,7 @@ import hfib.sequences as seq
 import hfib.verify as verify
 from hfib.poly import Dense
 
-counts = dict.fromkeys(verify.check_ids(), 0)
+counts = dict.fromkeys(sorted(dict(verify._CHECKS)), 0)
 running = [None]
 mul, conv_sum, run_check = Dense.__mul__, seq._conv_sum, verify._run_check
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from golden import TABLE_R123, assert_valid_report_dict, compose
+from golden import TABLE_R123, assert_valid_report_dict, compose, corrupt_check
 from hfib import Poly, convolved_table, minor_sum_closed_form
 from hfib.cli import _build_parser, main
 
@@ -271,13 +271,7 @@ def test_verify_json_schema(capsys):
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
-    from hfib import verify as verify_mod
-    from hfib import cli as cli_mod
-
-    def failing(r_max, n_max, seed):
-        return verify_mod.run_suite(r_max, n_max, seed, _corrupt="det_fib")
-
-    monkeypatch.setattr(cli_mod, "run_suite", failing)
+    corrupt_check(monkeypatch, "det_fib")
     code, out, _ = run_cli(capsys, "verify", "--r-max", "1", "--n-max", "2")
     assert code == 1
     assert "FAIL" in out and "counterexample" in out

@@ -296,6 +296,10 @@ def test_principal_minor_validation():
         principal_minor(3, [4])
     with pytest.raises(IndexOutOfRange):
         principal_minor(3, [3, 1])
+    with pytest.raises(IndexOutOfRange):
+        principal_minor(3, [1.5])
+    with pytest.raises(IndexOutOfRange):
+        principal_minor(3, [1, 2.0])
 
 
 def test_minor_product_formula_full_enumeration():

@@ -1,10 +1,20 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from golden import TABLE_R123, assert_valid_report_dict
-from hfib import ONE, CheckResult, Poly, SuiteReport, convolved_table, report_to_dict, run_suite
-from hfib.verify import _run_check, check_ids
+from golden import TABLE_R123, assert_valid_report_dict, corrupt_check
+from hfib import ONE, CheckResult, Poly, SuiteReport, convolved_table, report_to_dict, run_suite, verify
+
+CHECK_IDS = sorted(dict(verify._CHECKS))
+
+
+def first_instance(check_id):
+    """The first (description, lhs, rhs) of a check at the smallest
+    bounds run_suite accepts, or None if it yields nothing there."""
+    generate = dict(verify._CHECKS)[check_id]
+    return next(generate(1, 2, random.Random(f"0:{check_id}")), None)
 
 
 def test_default_suite_passes():
@@ -17,7 +27,7 @@ def test_default_suite_passes():
 def test_minimal_bounds_pass():
     report = run_suite(r_max=1, n_max=2, seed=0)
     assert report.all_passed
-    assert [r.check_id for r in report.results] == check_ids()
+    assert [r.check_id for r in report.results] == CHECK_IDS
 
 
 def test_mid_bounds_pass():
@@ -29,7 +39,7 @@ def test_every_check_appears_exactly_once_sorted():
     ids = [r.check_id for r in report.results]
     assert ids == sorted(ids)
     assert len(ids) == len(set(ids))
-    assert ids == check_ids()
+    assert ids == CHECK_IDS
 
 
 def test_deterministic_modulo_elapsed():
@@ -40,8 +50,9 @@ def test_deterministic_modulo_elapsed():
     assert a.all_passed == b.all_passed
 
 
-def test_corruption_hook_produces_counterexample():
-    report = run_suite(r_max=2, n_max=4, seed=0, _corrupt="five_way")
+def test_corruption_hook_produces_counterexample(monkeypatch):
+    corrupt_check(monkeypatch, "five_way")
+    report = run_suite(r_max=2, n_max=4, seed=0)
     assert not report.all_passed
     failed = [r for r in report.results if not r.passed]
     assert [r.check_id for r in failed] == ["five_way"]
@@ -51,11 +62,21 @@ def test_corruption_hook_produces_counterexample():
     assert all(r.passed for r in others), "one corrupted check must not stop the rest"
 
 
-@pytest.mark.parametrize("check_id", check_ids())
-def test_corruption_hook_fails_every_check(check_id):
-    report = run_suite(r_max=1, n_max=2, seed=0, _corrupt=check_id)
-    failed = [r.check_id for r in report.results if not r.passed]
-    assert failed == [check_id]
+@pytest.mark.parametrize("check_id", CHECK_IDS)
+def test_corruption_hook_fails_every_check(monkeypatch, check_id):
+    first_desc = first_instance(check_id)[0]
+    corrupt_check(monkeypatch, check_id)
+    report = run_suite(r_max=1, n_max=2, seed=0)
+    failed = [r for r in report.results if not r.passed]
+    assert [r.check_id for r in failed] == [check_id]
+    assert failed[0].counterexample.startswith(f"{first_desc}: lhs = ")
+    assert " ; rhs = " in failed[0].counterexample
+
+
+@pytest.mark.parametrize("check_id", CHECK_IDS)
+def test_every_check_yields_an_instance_at_the_smallest_bounds(check_id):
+    # a check that yields nothing passes without checking anything
+    assert first_instance(check_id) is not None
 
 
 def test_ring_axioms_catch_a_wrong_power_base(monkeypatch):
@@ -68,22 +89,8 @@ def test_ring_axioms_catch_a_wrong_power_base(monkeypatch):
     assert " pow: " in ring.counterexample
 
 
-def test_corruption_hook_refuses_an_unknown_check():
-    with pytest.raises(ValueError, match="five-way"):
-        run_suite(r_max=1, n_max=2, _corrupt="five-way")
-
-
-def test_empty_instance_stream_is_marked_skipped():
-    result = _run_check("nothing", {"n_max": 0}, [], False)
-    assert result.passed
-    assert result.params["skipped"] == 1
-    assert result.counterexample is None
-
-
 @pytest.mark.parametrize("yield_first", [False, True], ids=["at_start", "after_one"])
 def test_check_that_raises_fails_and_the_suite_runs_on(monkeypatch, yield_first):
-    from hfib import verify as verify_mod
-
     def exploding(r_max, n_max, rng):
         if yield_first:
             yield "first", ONE, ONE
@@ -91,16 +98,16 @@ def test_check_that_raises_fails_and_the_suite_runs_on(monkeypatch, yield_first)
 
     checks = tuple(
         (check_id, exploding if check_id == "binet" else generate)
-        for check_id, generate in verify_mod._CHECKS
+        for check_id, generate in verify._CHECKS
     )
-    monkeypatch.setattr(verify_mod, "_CHECKS", checks)
+    monkeypatch.setattr(verify, "_CHECKS", checks)
     report = run_suite(r_max=1, n_max=2)
-    assert [r.check_id for r in report.results] == check_ids()
+    assert [r.check_id for r in report.results] == CHECK_IDS
     assert not report.all_passed
     failed = [r for r in report.results if not r.passed]
     assert [r.check_id for r in failed] == ["binet"]
     assert failed[0].counterexample == "ZeroDivisionError: boom"
-    assert "skipped" not in failed[0].params
+    assert failed[0].params == {"r_max": 1, "n_max": 2}
     assert_valid_report_dict(report_to_dict(report))
 
 
@@ -119,8 +126,9 @@ def test_records_are_immutable_with_fields_in_order():
             setattr(record, field, False)
 
 
-def test_report_dict_failure_carries_counterexample():
-    report = run_suite(r_max=1, n_max=2, _corrupt="binet")
+def test_report_dict_failure_carries_counterexample(monkeypatch):
+    corrupt_check(monkeypatch, "binet")
+    report = run_suite(r_max=1, n_max=2)
     obj = report_to_dict(report)
     assert_valid_report_dict(obj)
     entry = next(e for e in obj["results"] if e["check_id"] == "binet")
