@@ -3,16 +3,24 @@
 perfbench/kernels.py reports null for a kernel whose hfib names are
 gone, and perfbench/run.py reports null for a self-time metric none of
 whose functions the tracer could wrap.  Both run here in children, as
-the benchmark runs them, and neither may come back null.  Nothing under
-perfbench/ is edited.
+the benchmark runs them, and neither may come back null.  The oracle
+the benchmark checks `verify` output with must refuse every report that
+is not a clean pass at the bounds asked for.  Nothing under perfbench/
+is edited.
 """
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from golden import corrupt_check
+from hfib import report_to_dict, run_suite
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -47,3 +55,24 @@ def test_every_self_time_metric_has_a_wrapped_function(tmp_path):
     assert self_ms
     unwrapped = [metric for metric, names in self_ms.items() if not wrapped & set(names)]
     assert not unwrapped, unwrapped
+
+
+def load_oracle():
+    spec = importlib.util.spec_from_file_location("oracle", PERFBENCH / "oracle.py")
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    return oracle
+
+
+@pytest.mark.parametrize("fault", [None, "failed", "skipped", "other_bounds"])
+def test_oracle_refuses_a_verify_report_that_is_not_a_clean_pass(monkeypatch, fault):
+    if fault == "failed":
+        corrupt_check(monkeypatch, "five_way")
+    report = report_to_dict(run_suite(2, 4, 3))
+    spec = {"bounds": {"r_max": 2, "n_max": 4, "seed": 3}}
+    if fault == "skipped":
+        report["results"][0]["params"]["skipped"] = 1
+    if fault == "other_bounds":
+        spec["bounds"]["n_max"] = 5
+    reason = load_oracle().check("verify", spec, "json", json.dumps(report))
+    assert (reason is None) == (fault is None), reason
