@@ -14,8 +14,10 @@ index, and the kernel serves hess_det alone.  char_poly runs its
 continuant on ints, one per power of t, in the ring core's packed
 layout of Z[h] at a byte width that a Pell number bounds: a step is
 shifts and adds, with no product and no Poly until the end.  The
-principal-minor sums reuse the leading minors of the kept prefix each
-set shares with the one before: one product per new kept index.
+principal minors run their continuant on ints in the same layout, and
+the principal-minor sums reuse the leading minors of the kept prefix
+each set shares with the one before: a new kept index costs a shift
+and an add, and each call unpacks once.
 """
 from __future__ import annotations
 
@@ -26,8 +28,8 @@ from .poly import H, ONE, ZERO, Poly, TPoly, binom, unpack
 
 
 class IndexOutOfRange(IndexError):
-    """A deletion index is not an int, or the list is not strictly
-    increasing inside 1..n."""
+    """A deletion index is not an int (a bool is refused too), or the
+    list is not strictly increasing inside 1..n."""
 
 
 class HessMatrix:
@@ -118,20 +120,45 @@ def build_fib_matrix(n: int) -> HessMatrix:
     return HessMatrix([padded[n + 1 - i : 2 * n + 1 - i] for i in range(n)])
 
 
-def _kept_minors(d: list, kept: Sequence[int], start: int) -> list:
-    """Extend d, the leading minors d[0..start] of the Fibonacci matrix
-    kept at the increasing 1-based indices `kept`, over kept[start:].
+def _width(n: int, l: int, sets: int) -> int:
+    """The fewest bytes that hold sets * F(n - l + 1), F the Fibonacci
+    number: the packing width of a sum of `sets` principal minors of
+    order n - l of the n x n Fibonacci matrix.
+
+    A principal minor is the product of the continuants of its runs of
+    kept indices, and the continuant of a run of length a is the
+    Fibonacci polynomial F_(a+1), whose coefficients are nonnegative
+    and at most its value F(a+1) at h = 1.  As F(a+b+1) = F(a+1)F(b+1)
+    + F(a)F(b) >= F(a+1)F(b+1), a minor of order n - l is at most
+    F(n - l + 1) at h = 1, and so is each of its leading minors; a sum
+    of `sets` of them has every coefficient at most sets * F(n - l + 1).
+    """
+    fib, before = 1, 0
+    for _ in range(n - l):
+        fib, before = fib + before, fib
+    return ((sets * fib).bit_length() + 7) // 8
+
+
+def _kept_minors(d: list, kept: Sequence[int], start: int, shift: int) -> list:
+    """Extend d, the packed leading minors d[0..start] of the Fibonacci
+    matrix kept at the increasing 1-based indices `kept`, over
+    kept[start:].
 
     The kept submatrix is again tridiagonal: diagonal h, and the band
     entries 1 above and -1 below only between two kept indices that are
     adjacent.  So its leading minors are the continuant
     d_k = h*d_(k-1) + d_(k-2), without the last term where the k-th kept
-    index does not follow the one before: one product per kept index.
+    index does not follow the one before.  d_k has only the powers
+    h^(k-2i), and is held as pack(d_k, k, w) with shift = 8w: a product
+    by h raises an odd power to an even one, a shift of one packed
+    coefficient where k is even, and nothing where k is odd.  A step is
+    a shift and an add, and as each partial sum is coefficientwise
+    between 0 and the d_k it makes, no carry crosses a coefficient.
     """
     for k in range(start, len(kept)):
-        step = H * d[-1]
+        step = d[-1] << shift if k % 2 else d[-1]  # the new order is k + 1
         if k and kept[k] == kept[k - 1] + 1:
-            step = step + d[-2]
+            step += d[-2]
         d.append(step)
     return d
 
@@ -145,12 +172,13 @@ def principal_minor(n: int, deleted: Iterable[int]) -> Poly:
     deleted = tuple(deleted)
     prev = 0
     for i in deleted:
-        if not (isinstance(i, int) and prev < i <= n):
+        if not (isinstance(i, int) and not isinstance(i, bool) and prev < i <= n):
             raise IndexOutOfRange(f"deletion indices must be strictly increasing ints in 1..{n}")
         prev = i
     gone = set(deleted)
     kept = [i for i in range(1, n + 1) if i not in gone]
-    return _kept_minors([ONE], kept, 0)[-1]
+    width = _width(n, len(deleted), 1)
+    return unpack(_kept_minors([1], kept, 0, 8 * width)[-1], len(kept), width)
 
 
 def sum_principal_minors(n: int, l: int) -> Poly:
@@ -158,23 +186,26 @@ def sum_principal_minors(n: int, l: int) -> Poly:
 
     Every deletion set is visited: its kept indices come from
     combinations() in lexicographic order, so each set shares its
-    longest common prefix with the one before, and d keeps the leading
-    minors of that prefix and extends them over the rest.  Nothing is
-    merged across sets, and nothing recurses.
+    longest common prefix with the one before, and d keeps the packed
+    leading minors of that prefix and extends them over the rest.  Each
+    minor is added to the packed total, which _width sizes for all
+    C(n, l) of them and which is unpacked once.  Nothing is merged
+    across sets, and nothing recurses.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0 <= l <= n:
         raise ValueError("l must be in 0..n")
-    total, d, prev = ZERO, [ONE], ()
+    width = _width(n, l, binom(n, l))
+    total, d, prev = 0, [1], ()
     for kept in combinations(range(1, n + 1), n - l):
         start = 0
         while start < len(prev) and kept[start] == prev[start]:
             start += 1
         del d[start + 1 :]
-        total = total + _kept_minors(d, kept, start)[-1]
+        total += _kept_minors(d, kept, start, 8 * width)[-1]
         prev = kept
-    return total
+    return unpack(total, n - l, width)
 
 
 def char_poly(n: int) -> TPoly:

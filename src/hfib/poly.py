@@ -193,8 +193,10 @@ class Dense:
         out = [self._zero] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
+                k = i  # the index of out that ca * cb lands at
+                for cb in b:
+                    out[k] += ca * cb
+                    k += 1
         return cls(out)
 
     __rmul__ = __mul__

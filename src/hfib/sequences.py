@@ -183,11 +183,14 @@ def lucas_decomposition_sides(r: int, j: int) -> tuple[Poly, Poly]:
         raise ValueError("r must be >= 1")
     if j < 0:
         raise ValueError("j must be >= 0")
-    lhs = convolved_closed_form(r, j) * DISC ** (r - 1)
+    disc = [ONE]  # DISC^0..DISC^(r-1), every power the sides use
+    for _ in range(r - 1):
+        disc.append(disc[-1] * DISC)
+    lhs = convolved_closed_form(r, j) * disc[r - 1]
     rhs = ZERO
     for l in range(r):
         weight = binom(r + l - 1, l) * binom(r - l + j - 1, j)
         seq = lucas if (r + l) % 2 == 0 else fib
-        term = DISC ** (r - 1 - (r + l) // 2) * seq(r + j - l)
+        term = disc[r - 1 - (r + l) // 2] * seq(r + j - l)
         rhs = rhs + weight * term
     return lhs, rhs

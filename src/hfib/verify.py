@@ -16,6 +16,7 @@ from typing import Callable, Iterable, Iterator
 
 from .hessenberg import (
     HessMatrix,
+    _leading_minors,
     build_fib_matrix,
     char_poly,
     charpoly_shift_sides,
@@ -96,9 +97,10 @@ def _check_ring_axioms(r_max: int, n_max: int, rng: random.Random) -> Iterator[I
         w = _random_poly(rng, 12, 10**6)
         yield f"case={case} add_assoc", (p + q) + w, p + (q + w)
         yield f"case={case} add_comm", p + q, q + p
-        yield f"case={case} mul_assoc", (p * q) * w, p * (q * w)
-        yield f"case={case} mul_comm", p * q, q * p
-        yield f"case={case} distrib", p * (q + w), p * q + p * w
+        pq = p * q
+        yield f"case={case} mul_assoc", pq * w, p * (q * w)
+        yield f"case={case} mul_comm", pq, q * p
+        yield f"case={case} distrib", p * (q + w), pq + p * w
         yield f"case={case} add_ident", p + ZERO, p
         yield f"case={case} mul_ident", p * ONE, p
         yield f"case={case} pow", p ** 2, p * p
@@ -188,8 +190,12 @@ def _check_specialization(r_max: int, n_max: int, rng: random.Random) -> Iterato
 
 
 def _check_det_fib(r_max: int, n_max: int, rng: random.Random) -> Iterator[Instance]:
+    # each small matrix is built and expanded on its own; the larger
+    # determinants are the leading minors of the largest matrix
+    minors = _leading_minors(build_fib_matrix(n_max + 10).entries, ZERO, ONE)
     for n in range(1, n_max + 11):
-        yield f"n={n}", hess_det(build_fib_matrix(n)), fib(n + 1)
+        det = hess_det(build_fib_matrix(n)) if n <= 12 else minors[n]
+        yield f"n={n}", det, fib(n + 1)
 
 
 def _check_minor_product(r_max: int, n_max: int, rng: random.Random) -> Iterator[Instance]:
@@ -304,14 +310,15 @@ def run_suite(r_max: int = 5, n_max: int = 30, seed: int = 0) -> SuiteReport:
     raises fails with the exception as its counterexample.
 
     Results are ordered by check_id, and every check yields at least one
-    instance at the smallest accepted bounds (r_max=1, n_max=2).
+    instance at the smallest accepted bounds (r_max=1, n_max=2).  A
+    bound or seed that is not an int, or is a bool, is refused with
+    ValueError before any check runs.
     """
-    if r_max < 1:
-        raise ValueError("r_max must be >= 1")
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
+    for name, value, least in (("r_max", r_max, 1), ("n_max", n_max, 2), ("seed", seed, 0)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an int")
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}")
     results = []
     for check_id, generate in sorted(_CHECKS):
         rng = random.Random(f"{seed}:{check_id}")

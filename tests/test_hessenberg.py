@@ -25,7 +25,9 @@ from hfib import (
     principal_minor,
     sum_principal_minors,
 )
+import hfib.hessenberg as hessenberg
 from hfib.hessenberg import _leading_minors
+from hfib.poly import Dense
 
 
 def naive_det(rows, zero=ZERO, one=ONE):
@@ -80,6 +82,15 @@ def test_det_of_fib_matrix():
     assert hess_det(build_fib_matrix(1)) == H
     for n in range(1, 41):
         assert hess_det(build_fib_matrix(n)) == fib(n + 1), n
+
+
+def test_leading_minors_of_the_largest_fib_matrix_are_every_determinant():
+    # det_fib reads its larger determinants from one pass over F_110,
+    # its size at the verify cap of --n-max 100
+    minors = _leading_minors(build_fib_matrix(110).entries, ZERO, ONE)
+    assert len(minors) == 111
+    for n in range(1, 111):
+        assert minors[n] == hess_det(build_fib_matrix(n)) == fib(n + 1), n
 
 
 def test_det_against_naive_oracle():
@@ -220,14 +231,42 @@ def test_minor_sums_walk_at_large_n():
     assert sum_principal_minors(40, 1) == _brute_minor_sum(40, 1)
 
 
-def test_minor_sums_walk_work(monkeypatch):
-    # one product per kept index of each shared prefix; one principal_minor
-    # per deletion set makes 45,057
-    def every_sum():
-        return [sum_principal_minors(n, l) for n in range(1, 13) for l in range(n)]
+def test_minor_sums_walk_makes_no_ring_product(monkeypatch):
+    # the continuants run on packed ints: a step is a shift and an add
+    calls = 0
+    mul = Dense.__mul__
 
-    calls, _ = _count_poly_products(monkeypatch, every_sum)
-    assert calls == 16278
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(Dense, "__mul__", counted)
+    monkeypatch.setattr(Dense, "__rmul__", counted)
+    sums = [sum_principal_minors(n, l) for n in range(1, 13) for l in range(n)]
+    monkeypatch.undo()
+    assert calls == 0
+    assert sums[-1] == convolved_closed_form(12, 1)
+
+
+def test_minor_sums_width_is_at_most_one_byte_spare(monkeypatch):
+    # the width holds C(n, l) * F(n - l + 1), and the largest coefficient
+    # of the sum needs at most one byte less
+    widths = []
+    unpack = hessenberg.unpack
+
+    def recorded(packed, n, width):
+        widths.append(width)
+        return unpack(packed, n, width)
+
+    monkeypatch.setattr(hessenberg, "unpack", recorded)
+    for n in range(1, 13):
+        for l in range(n + 1):
+            widths.clear()
+            total = sum_principal_minors(n, l)
+            assert len(widths) == 1  # one unpack per call
+            need = (max(total.coeffs).bit_length() + 7) // 8
+            assert need <= widths[0] <= need + 1, (n, l, widths[0], need)
 
 
 def test_weighted_recurrence_oracle():
@@ -300,6 +339,10 @@ def test_principal_minor_validation():
         principal_minor(3, [1.5])
     with pytest.raises(IndexOutOfRange):
         principal_minor(3, [1, 2.0])
+    with pytest.raises(IndexOutOfRange):
+        principal_minor(3, [True])  # not read as index 1
+    with pytest.raises(IndexOutOfRange):
+        principal_minor(3, [1, True])
 
 
 def test_minor_product_formula_full_enumeration():

@@ -141,6 +141,19 @@ def test_bounds_validation():
         run_suite(seed=-1)
 
 
+@pytest.mark.parametrize(
+    "bounds",
+    [(2.5, 4), (2, 4.0), (2, 4, 1.5), (True, 4), (2, True), (2, 4, False), ("2", 4), (2, 4, None)],
+)
+def test_bounds_and_seed_must_be_ints_not_bools(monkeypatch, bounds):
+    def no_check(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(verify, "_run_check", no_check)
+    with pytest.raises(ValueError, match="must be an int"):
+        run_suite(*bounds)
+
+
 def test_convolved_table_matches_frozen_table():
     rows = convolved_table([1, 2, 3], 8)
     assert len(rows) == 9
