@@ -87,7 +87,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         degree, w = (e.degree or 0, width(e)) if e is not None else (1, 0)
         if at is not None:
             degree, w = 0, w + degree * abs(at).bit_length()
-        bits = max(top, 1) * w
+        bits = max(top, 1) * max(w, 1)  # ±h^d has w = 0, but each power still costs its coefficients
         size = len(args.r) * (args.n_max + 1) * (top * degree + 1) * bits
         if top * degree > MAX_DEGREE or bits > MAX_COEFF_BITS or size > MAX_TABLE_BITS:
             args.refuse(f"--subst/--at table over degree {MAX_DEGREE}, "

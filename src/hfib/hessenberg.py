@@ -24,7 +24,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .poly import H, ONE, ZERO, Poly, TPoly, binom, unpack
+from .poly import H, ONE, ZERO, Poly, TPoly, binom, check_size, unpack
 
 
 class IndexOutOfRange(IndexError):
@@ -114,8 +114,7 @@ _FIB_BAND = (Poly([-1]), H, ONE)
 
 def build_fib_matrix(n: int) -> HessMatrix:
     """Tridiagonal n x n matrix: diagonal h, superdiagonal 1, subdiagonal -1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_size("n", n, 1)
     padded = [ZERO] * n + list(_FIB_BAND) + [ZERO] * n  # each row is a window of it
     return HessMatrix([padded[n + 1 - i : 2 * n + 1 - i] for i in range(n)])
 
@@ -167,8 +166,7 @@ def principal_minor(n: int, deleted: Iterable[int]) -> Poly:
     """Determinant of the Fibonacci matrix with the 1-based rows and
     columns in `deleted` removed (the empty matrix has determinant 1).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_size("n", n, 1)
     deleted = tuple(deleted)
     prev = 0
     for i in deleted:
@@ -192,10 +190,8 @@ def sum_principal_minors(n: int, l: int) -> Poly:
     C(n, l) of them and which is unpacked once.  Nothing is merged
     across sets, and nothing recurses.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0 <= l <= n:
-        raise ValueError("l must be in 0..n")
+    check_size("n", n, 1)
+    check_size("l", l, 0, n)
     width = _width(n, l, binom(n, l))
     total, d, prev = 0, [1], ()
     for kept in combinations(range(1, n + 1), n - l):
@@ -234,8 +230,7 @@ def char_poly(n: int) -> TPoly:
     it makes, so no carry crosses into the next packed coefficient.  g_n
     is unpacked once, with the sign (-1)^(n-l) on [t^l].
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_size("n", n, 1)
     pell, before = 1, 0
     for _ in range(n):
         pell, before = 2 * pell + before, pell
@@ -255,10 +250,8 @@ def minor_sum_closed_form(n: int, l: int) -> Poly:
     read off the characteristic polynomial: sum over i of
     C(n-i, i) * C(n-2i, l) * h^(n-2i-l).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0 <= l <= n:
-        raise ValueError("l must be in 0..n")
+    check_size("n", n, 1)
+    check_size("l", l, 0, n)
     coeffs = [0] * (n - l + 1)
     for i in range((n - l) // 2 + 1):
         coeffs[n - 2 * i - l] += binom(n - i, i) * binom(n - 2 * i, l)
@@ -272,8 +265,7 @@ def charpoly_shift_sides(n: int) -> tuple[TPoly, TPoly]:
     equality of the pair says the characteristic polynomial is the
     plain Fibonacci polynomial shifted by h.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_size("n", n, 1)
     shift = TPoly([-H, ONE])
     rhs = TPoly()
     for i in range(n // 2 + 1):

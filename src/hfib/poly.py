@@ -10,7 +10,8 @@ the characteristic polynomial; ring_pow is the package's one
 square-and-multiply; to_digits and from_digits convert exact integers
 at any size; pack and unpack hold a polynomial in h that has only
 powers of one parity as a single int, the one packed layout of the
-routes that run on ints.
+routes that run on ints; check_size is the one guard of every size,
+bound, order, seed and exponent the public API takes.
 
 >>> Poly([0, 2, 0, 1])
 Poly('h^3 + 2h')
@@ -114,8 +115,7 @@ def ring_pow(x, k: int, one):
     """x**k by square-and-multiply, for any ring element with *; `one`
     is the ring's unit, returned for k = 0.
     """
-    if k < 0:
-        raise ValueError("negative exponent")
+    check_size("k", k, 0)
     result = one
     while k:
         if k & 1:
@@ -305,6 +305,23 @@ class TPoly(Dense):
 
     def to_json(self) -> list[list[str]]:
         return [c.to_json() for c in self.coeffs]
+
+
+def check_size(name: str, value: int, least: int, most: int | None = None) -> None:
+    """Refuse with ValueError a size, bound, order, seed or exponent
+    that is not of type int (so a bool is refused, as are other int
+    subclasses) or lies outside least..most (no upper end for None).
+    Every such argument of the public API passes here before any work.
+
+    It cannot break the routes' independence: it computes nothing of
+    any result, so it can refuse an input, but it cannot make two
+    routes agree on a wrong answer.  Coefficients are not checked:
+    Dense builds its values on every product, so Poly([1.5]) is taken
+    as given.
+    """
+    if type(value) is not int or value < least or (most is not None and value > most):
+        bound = f">= {least}" if most is None else f"in {least}..{most}"
+        raise ValueError(f"{name} must be an int {bound}")
 
 
 def binom(n: int, k: int) -> int:

@@ -25,7 +25,7 @@ import math
 import threading
 from operator import mul
 
-from .poly import H, ONE, ZERO, Poly, binom, pack, unpack
+from .poly import H, ONE, ZERO, Poly, binom, check_size, pack, unpack
 from .quadext import DISC, QuadExt
 
 _lock = threading.RLock()
@@ -35,8 +35,7 @@ _lucas: list[Poly] = [Poly([2]), H]
 
 def _memo(table: list[Poly], n: int) -> Poly:
     """table[n] of x(k) = h*x(k-1) + x(k-2), extending the memo under the lock."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_size("n", n, 0)
     if n >= len(table):
         with _lock:
             while len(table) <= n:
@@ -60,8 +59,7 @@ def binet_scaled(n: int) -> tuple[QuadExt, QuadExt]:
     With s^2 = h^2 + 4 these equal 2^n * s * fib(n) and 2^n * lucas(n):
     the root formulas for the two sequences, cleared of halves.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_size("n", n, 0)
     plus = QuadExt(H, ONE) ** n
     minus = QuadExt(H, -ONE) ** n
     return plus - minus, plus + minus
@@ -69,10 +67,8 @@ def binet_scaled(n: int) -> tuple[QuadExt, QuadExt]:
 
 def convolved_closed_form(r: int, j: int) -> Poly:
     """Convolved polynomial F(r, j+1) as a double-binomial sum over h^(j-2l)."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if j < 0:
-        raise ValueError("j must be >= 0")
+    check_size("r", r, 1)
+    check_size("j", j, 0)
     coeffs = [0] * (j + 1)
     for l in range(j // 2 + 1):
         coeffs[j - 2 * l] = binom(j + r - l - 1, j - l) * binom(j - l, l)
@@ -120,10 +116,8 @@ def convolved_convolution(r: int, m: int) -> list[list[Poly]]:
     base is packed once, and each level is summed and unpacked at that
     width.
     """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    check_size("r", r, 1)
+    check_size("m", m, 0)
     table = [[fib(n + 1) for n in range(m + 1)]]
     width = ((math.comb(m + r - 1, m) * table[0][m](1)).bit_length() + 7) // 8
     base = lower = [pack(p, n, width) for n, p in enumerate(table[0])]
@@ -142,10 +136,8 @@ def convolved_recurrence(r: int, n: int) -> list[list[Poly]]:
     with F(k, 0) = 0, F(k, 1) = 1 and the convolution unit as row k = 0.
     The rows are built in turn, without recursion.
     """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_size("r", r, 1)
+    check_size("n", n, 0)
     rows = [[ZERO, ONE] + [ZERO] * (n - 1)]  # row 0, the convolution unit
     for _ in range(r):
         row = [ZERO, ONE][:n + 1]
@@ -162,8 +154,8 @@ def derivative_identity_sides(r: int, n: int) -> tuple[Poly, Poly]:
     function, which raises the convolution order by one.  Returns
     (lhs, rhs); the identity under test is lhs == rhs.
     """
-    if r < 1 or n < 1:
-        raise ValueError("requires r >= 1 and n >= 1")
+    check_size("r", r, 1)
+    check_size("n", n, 1)
     lhs = n * convolved_closed_form(r, n)
     prev = convolved_closed_form(r + 1, n - 2) if n >= 2 else ZERO
     rhs = r * (H * convolved_closed_form(r + 1, n - 1) + 2 * prev)
@@ -179,10 +171,8 @@ def lucas_decomposition_sides(r: int, j: int) -> tuple[Poly, Poly]:
     factor, and the parity condition makes every cleared exponent a
     nonnegative integer.
     """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if j < 0:
-        raise ValueError("j must be >= 0")
+    check_size("r", r, 1)
+    check_size("j", j, 0)
     disc = [ONE]  # DISC^0..DISC^(r-1), every power the sides use
     for _ in range(r - 1):
         disc.append(disc[-1] * DISC)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .poly import H, ONE, ZERO, NotDivisible, Poly
+from .poly import H, ONE, ZERO, NotDivisible, Poly, check_size
 
 
 class NotInvertible(ArithmeticError):
@@ -24,9 +24,8 @@ class Series:
     coeffs: tuple[Poly, ...]
 
     def __init__(self, coeffs: Iterable[Poly], order: int):
+        check_size("order", order, 1)
         cs = list(coeffs)
-        if order < 1:
-            raise ValueError("order must be positive")
         if len(cs) > order:
             raise ValueError(f"{len(cs)} coefficients exceed order {order}")
         cs.extend([ZERO] * (order - len(cs)))
@@ -91,9 +90,7 @@ def convolved_series(r: int, n_terms: int) -> list[Poly]:
 
     Coefficient j is the (j+1)-st convolved polynomial of order r.
     """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
+    check_size("r", r, 1)
+    check_size("n_terms", n_terms, 1)
     kernel = Series([ONE, -H, -ONE][:n_terms], n_terms)
     return list((kernel ** -r).coeffs)

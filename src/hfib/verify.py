@@ -25,7 +25,7 @@ from .hessenberg import (
     principal_minor,
     sum_principal_minors,
 )
-from .poly import H, ONE, ZERO, Poly, binom
+from .poly import H, ONE, ZERO, Poly, binom, check_size
 from .quadext import QuadExt
 from .sequences import (
     binet_scaled,
@@ -210,6 +210,8 @@ def _check_minor_product(r_max: int, n_max: int, rng: random.Random) -> Iterator
                 product = product * fib(n - prev + 1)
                 desc = f"n={n} deleted={list(deleted)}"
                 yield desc, principal_minor(n, deleted), product
+    for n in range(11, n_max + 11):  # n > 10 packs wider than one byte
+        yield f"n={n} deleted=[]", principal_minor(n, ()), fib(n + 1)
 
 
 def _check_charpoly_signs(r_max: int, n_max: int, rng: random.Random) -> Iterator[Instance]:
@@ -314,11 +316,9 @@ def run_suite(r_max: int = 5, n_max: int = 30, seed: int = 0) -> SuiteReport:
     bound or seed that is not an int, or is a bool, is refused with
     ValueError before any check runs.
     """
-    for name, value, least in (("r_max", r_max, 1), ("n_max", n_max, 2), ("seed", seed, 0)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an int")
-        if value < least:
-            raise ValueError(f"{name} must be >= {least}")
+    check_size("r_max", r_max, 1)
+    check_size("n_max", n_max, 2)
+    check_size("seed", seed, 0)
     results = []
     for check_id, generate in sorted(_CHECKS):
         rng = random.Random(f"{seed}:{check_id}")
@@ -354,11 +354,9 @@ def convolved_table(r_list: list[int], n_max: int) -> list[list[Poly]]:
     r*h, ...); row n >= 1 holds coefficient n-1 of each generating
     function power.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    check_size("n_max", n_max, 0)
     for r in r_list:
-        if r < 1:
-            raise ValueError("every r must be >= 1")
+        check_size("r", r, 1)
     rows = [[ZERO for _ in r_list]]
     for n in range(1, n_max + 1):
         rows.append([convolved_closed_form(r, n - 1) for r in r_list])

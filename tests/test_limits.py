@@ -17,6 +17,7 @@ import pytest
 from hfib.cli import MAX_COEFF_BITS, MAX_TABLE_BITS, MAX_LENGTH, MAX_ORDER, MAX_ORDERS, MAX_SEED, _build_parser, main
 
 LONG = "9x" * 1500  # a 3,000-character argument
+TOP_ORDERS = ",".join(str(r) for r in range(MAX_ORDER, MAX_ORDER - MAX_ORDERS, -1))  # 100,99,...,85
 
 REFUSED = {
     "r-echo": ["table", "--r", LONG],
@@ -35,6 +36,8 @@ REFUSED = {
     "subst-bits": ["table", "--n-max", "80", "--subst", "10^4400"],
     "at-bits": ["table", "--n-max", str(MAX_LENGTH), "--at", "9" * 4401],
     "subst-at-bits": ["table", "--n-max", str(MAX_LENGTH), "--subst", "h^1000", "--at", "2"],
+    # E = h^3 has coefficient width 0, yet the powers table visits every coefficient
+    "subst-monomial-work": ["table", "--r", TOP_ORDERS, "--n-max", str(MAX_LENGTH), "--subst", "h^3", "--format", "json"],
     # an integer option takes ASCII digits alone, as --at does
     "n-max-arabic-digit": ["table", "--n-max", "\u0663"],
     "n-max-space": ["table", "--n-max", " 5"],
@@ -90,6 +93,7 @@ ADMITTED = [
     ["table", "--r", "1,4", "--n-max", "80", "--subst", "h^2+4h+5"],
     ["table", "--r", "1", "--n-max", "2", "--subst", "10^4400"],
     ["table", "--r", "1", "--n-max", "2", "--at", "9" * 4401],
+    ["table", "--r", TOP_ORDERS, "--n-max", "70", "--subst", "h^3", "--format", "json"],
     ["gf", "--r", "5", "--terms", "120"],
     ["charpoly", "--n", "120"],
 ]

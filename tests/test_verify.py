@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import inspect
 import random
 
 import pytest
 
+import hfib
 from golden import TABLE_R123, assert_valid_report_dict, corrupt_check
-from hfib import ONE, CheckResult, Poly, SuiteReport, convolved_table, report_to_dict, run_suite, verify
+from hfib import ONE, ZERO, CheckResult, Poly, QuadExt, SuiteReport, TPoly, convolved_table, report_to_dict, run_suite, verify
+from hfib.poly import Dense
 
 CHECK_IDS = sorted(dict(verify._CHECKS))
 
@@ -152,6 +155,91 @@ def test_bounds_and_seed_must_be_ints_not_bools(monkeypatch, bounds):
     monkeypatch.setattr(verify, "_run_check", no_check)
     with pytest.raises(ValueError, match="must be an int"):
         run_suite(*bounds)
+
+
+# Each exported callable that takes a size, named as in hfib.__all__ (a
+# method as Class.method): arguments it accepts, and for each size
+# parameter its least value and its largest (None for no upper end).
+# convolved_table's sizes are the orders listed in r_list.
+SIZED = {
+    "binet_scaled": ({"n": 2}, {"n": (0, None)}),
+    "build_fib_matrix": ({"n": 2}, {"n": (1, None)}),
+    "char_poly": ({"n": 2}, {"n": (1, None)}),
+    "charpoly_shift_sides": ({"n": 2}, {"n": (1, None)}),
+    "convolved_closed_form": ({"r": 2, "j": 2}, {"r": (1, None), "j": (0, None)}),
+    "convolved_convolution": ({"r": 2, "m": 2}, {"r": (1, None), "m": (0, None)}),
+    "convolved_recurrence": ({"r": 2, "n": 2}, {"r": (1, None), "n": (0, None)}),
+    "convolved_series": ({"r": 2, "n_terms": 2}, {"r": (1, None), "n_terms": (1, None)}),
+    "convolved_table": ({"r_list": [2], "n_max": 2}, {"r_list": (1, None), "n_max": (0, None)}),
+    "derivative_identity_sides": ({"r": 2, "n": 2}, {"r": (1, None), "n": (1, None)}),
+    "fib": ({"n": 2}, {"n": (0, None)}),
+    "lucas": ({"n": 2}, {"n": (0, None)}),
+    "lucas_decomposition_sides": ({"r": 2, "j": 2}, {"r": (1, None), "j": (0, None)}),
+    "minor_sum_closed_form": ({"n": 3, "l": 1}, {"n": (1, None), "l": (0, 3)}),
+    "principal_minor": ({"n": 3, "deleted": [2]}, {"n": (1, None)}),
+    "run_suite": ({"r_max": 1, "n_max": 2, "seed": 0}, {"r_max": (1, None), "n_max": (2, None), "seed": (0, None)}),
+    "sum_principal_minors": ({"n": 3, "l": 1}, {"n": (1, None), "l": (0, 3)}),
+    "Series": ({"coeffs": [ONE], "order": 2}, {"order": (1, None)}),
+    "Poly.__pow__": ({"k": 2}, {"k": (0, None)}),
+    "TPoly.__pow__": ({"k": 2}, {"k": (0, None)}),
+    "QuadExt.__pow__": ({"k": 2}, {"k": (0, None)}),
+}
+
+# exports with an int parameter that is not a size
+NOT_SIZED = {
+    "binom",  # C(n, k) for any ints, 0 outside 0 <= k <= n
+    "Series.__pow__",  # any int exponent
+}
+
+SIZE_PARAMETERS = {"n", "m", "j", "l", "r", "k", "n_terms", "order", "r_list", "r_max", "n_max", "seed"}
+
+UNITS = {"Poly": ONE, "TPoly": TPoly([ONE]), "QuadExt": QuadExt(ONE, ZERO)}
+
+
+def sized_callable(name):
+    owner, _, method = name.partition(".")
+    return getattr(UNITS[owner], method) if method else getattr(hfib, name)
+
+
+def bad_sizes():
+    for name, (_, sizes) in SIZED.items():
+        for parameter, (least, most) in sizes.items():
+            wrong = [2.5, True, "3", least - 1] + ([] if most is None else [most + 1])
+            for value in wrong:
+                yield pytest.param(name, parameter, value, id=f"{name}-{parameter}={value!r}")
+
+
+@pytest.mark.parametrize("name", sorted(SIZED))
+def test_sized_table_arguments_are_accepted(name):
+    sized_callable(name)(**SIZED[name][0])
+
+
+@pytest.mark.parametrize("name, parameter, value", bad_sizes())
+def test_every_export_refuses_a_size_before_any_work(monkeypatch, name, parameter, value):
+    def no_product(*args):
+        raise AssertionError("a product ran")
+
+    monkeypatch.setattr(Dense, "__mul__", no_product)
+    monkeypatch.setattr(Dense, "__rmul__", no_product)
+    if parameter == "r_list":  # an order in the list, checked as r
+        parameter, value = "r", [value]
+        arguments = dict(SIZED[name][0], r_list=value)
+    else:
+        arguments = dict(SIZED[name][0], **{parameter: value})
+    with pytest.raises(ValueError, match=f"^{parameter} must be an int"):
+        sized_callable(name)(**arguments)
+
+
+def test_every_export_that_takes_a_size_is_in_the_table():
+    found = set()
+    for name in hfib.__all__:
+        value = getattr(hfib, name)
+        if isinstance(value, type) and hasattr(value, "__pow__"):
+            found.add(f"{name}.__pow__")
+        if callable(value) and not (isinstance(value, type) and issubclass(value, Exception)):
+            if SIZE_PARAMETERS & set(inspect.signature(value).parameters):
+                found.add(name)
+    assert found - NOT_SIZED == set(SIZED)
 
 
 def test_convolved_table_matches_frozen_table():
