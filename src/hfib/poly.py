@@ -11,7 +11,8 @@ square-and-multiply; to_digits and from_digits convert exact integers
 at any size; pack and unpack hold a polynomial in h that has only
 powers of one parity as a single int, the one packed layout of the
 routes that run on ints; check_size is the one guard of every size,
-bound, order, seed and exponent the public API takes.
+bound, order, seed, exponent and other int argument the public API
+takes.
 
 >>> Poly([0, 2, 0, 1])
 Poly('h^3 + 2h')
@@ -190,6 +191,8 @@ class Dense:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return cls()
+        if len(a) > len(b):  # the outer loop runs over the shorter operand
+            a, b = b, a
         out = [self._zero] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
@@ -197,7 +200,11 @@ class Dense:
                 for cb in b:
                     out[k] += ca * cb
                     k += 1
-        return cls(out)
+        # Z and Z[h] have no zero divisors, so the leading coefficient
+        # a[-1] * b[-1] is nonzero and the product is already normalized
+        product = object.__new__(cls)
+        object.__setattr__(product, "coeffs", tuple(out))
+        return product
 
     __rmul__ = __mul__
 
@@ -281,6 +288,10 @@ class TPoly(Dense):
     _one = ONE
 
     def coefficient(self, power: int) -> Poly:
+        """The Poly coefficient of t^power; ZERO for any int power outside
+        the stored range.
+        """
+        check_size("power", power)
         if 0 <= power < len(self.coeffs):
             return self.coeffs[power]
         return ZERO
@@ -307,11 +318,12 @@ class TPoly(Dense):
         return [c.to_json() for c in self.coeffs]
 
 
-def check_size(name: str, value: int, least: int, most: int | None = None) -> None:
-    """Refuse with ValueError a size, bound, order, seed or exponent
-    that is not of type int (so a bool is refused, as are other int
-    subclasses) or lies outside least..most (no upper end for None).
-    Every such argument of the public API passes here before any work.
+def check_size(name: str, value: int, least: int | None = None, most: int | None = None) -> None:
+    """Refuse with ValueError a size, bound, order, seed, exponent or
+    other int argument that is not of type int (so a bool is refused, as
+    are other int subclasses) or lies outside least..most (no end for
+    None).  Every such argument of the public API passes here before any
+    work.
 
     It cannot break the routes' independence: it computes nothing of
     any result, so it can refuse an input, but it cannot make two
@@ -319,13 +331,16 @@ def check_size(name: str, value: int, least: int, most: int | None = None) -> No
     Dense builds its values on every product, so Poly([1.5]) is taken
     as given.
     """
-    if type(value) is not int or value < least or (most is not None and value > most):
-        bound = f">= {least}" if most is None else f"in {least}..{most}"
-        raise ValueError(f"{name} must be an int {bound}")
+    if (type(value) is not int or (least is not None and value < least)
+            or (most is not None and value > most)):
+        bound = "" if least is None else f" >= {least}" if most is None else f" in {least}..{most}"
+        raise ValueError(f"{name} must be an int{bound}")
 
 
 def binom(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k); 0 outside 0 <= k <= n."""
+    """Binomial coefficient C(n, k) of any ints; 0 outside 0 <= k <= n."""
+    check_size("n", n)
+    check_size("k", k)
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)

@@ -66,12 +66,26 @@ def binet_scaled(n: int) -> tuple[QuadExt, QuadExt]:
 
 
 def convolved_closed_form(r: int, j: int) -> Poly:
-    """Convolved polynomial F(r, j+1) as a double-binomial sum over h^(j-2l)."""
+    """Convolved polynomial F(r, j+1) as the double-binomial sum
+
+        F(r, j+1) = sum over l = 0..j//2 of C(j+r-l-1, j-l) * C(j-l, l) * h^(j-2l).
+
+    The terms are made in turn from c_0 = C(j+r-1, j) by their ratio
+
+        c_(l+1) / c_l = (j-2l)(j-2l-1) / ((l+1)(j+r-1-l)),
+
+    the product of C(j+r-l-2, j-l-1) / C(j+r-l-1, j-l) = (j-l) / (j+r-1-l)
+    and C(j-l-1, l+1) / C(j-l, l) = (j-2l)(j-2l-1) / ((l+1)(j-l)).  The
+    integer division is exact: its quotient is c_(l+1), an integer, so
+    c_l times the numerator is c_(l+1) times the denominator.
+    """
     check_size("r", r, 1)
     check_size("j", j, 0)
     coeffs = [0] * (j + 1)
-    for l in range(j // 2 + 1):
-        coeffs[j - 2 * l] = binom(j + r - l - 1, j - l) * binom(j - l, l)
+    coeffs[j] = c = math.comb(j + r - 1, j)
+    for l in range(j // 2):
+        c = c * (j - 2 * l) * (j - 2 * l - 1) // ((l + 1) * (j + r - 1 - l))
+        coeffs[j - 2 * l - 2] = c
     return Poly(coeffs)
 
 

@@ -46,8 +46,9 @@ class Series:
         return hash((self.order, self.coeffs))
 
     def __pow__(self, k: int) -> Series:
-        """self^k at the same order, for any integer k; the constant
-        coefficient a0 must be 1 or -1, else NotInvertible.
+        """self^k at the same order, for any int k (a bool or another
+        type is refused with ValueError); the constant coefficient a0
+        must be 1 or -1, else NotInvertible.
 
         b = a^k satisfies a*b' = k*a'*b, which gives the J.C.P. Miller /
         Euler recurrence (Knuth, TAOCP vol. 2, 4.7)
@@ -60,6 +61,7 @@ class Series:
         dividing by n*a0 divides each integer coefficient of the sum, and
         a remainder raises NotDivisible rather than rounds.
         """
+        check_size("k", k)
         order, a = self.order, self.coeffs
         if a[0].coeffs not in ((1,), (-1,)):
             raise NotInvertible(f"constant coefficient {a[0]} is not a unit")

@@ -69,8 +69,29 @@ def _run_check(
 
 
 def _random_poly(rng: random.Random, max_degree: int, max_coeff: int) -> Poly:
-    degree = rng.randint(0, max_degree)
-    return Poly([rng.randint(-max_coeff, max_coeff) for _ in range(degree + 1)])
+    """A degree in 0..max_degree, then that many coefficients plus one in
+    -max_coeff..max_coeff: the values of rng.randint, drawn as it draws.
+
+    randint(a, b) takes getrandbits(k) with k = (b - a + 1).bit_length(),
+    draws again while the value is not below b - a + 1, and adds a.  The
+    same draws here give the same values and leave rng in the same
+    state, without randint's argument checks and calls on every value.
+    """
+    getrandbits = rng.getrandbits
+    width = max_degree + 1
+    k = width.bit_length()
+    degree = getrandbits(k)
+    while degree >= width:
+        degree = getrandbits(k)
+    width = 2 * max_coeff + 1
+    k = width.bit_length()
+    coeffs = []
+    for _ in range(degree + 1):
+        c = getrandbits(k)
+        while c >= width:
+            c = getrandbits(k)
+        coeffs.append(c - max_coeff)
+    return Poly(coeffs)
 
 
 def _naive_det(rows: list[list[Poly]]) -> Poly:
@@ -95,12 +116,13 @@ def _check_ring_axioms(r_max: int, n_max: int, rng: random.Random) -> Iterator[I
         p = _random_poly(rng, 12, 10**6)
         q = _random_poly(rng, 12, 10**6)
         w = _random_poly(rng, 12, 10**6)
-        yield f"case={case} add_assoc", (p + q) + w, p + (q + w)
-        yield f"case={case} add_comm", p + q, q + p
+        p_q, q_w = p + q, q + w
+        yield f"case={case} add_assoc", p_q + w, p + q_w
+        yield f"case={case} add_comm", p_q, q + p
         pq = p * q
         yield f"case={case} mul_assoc", pq * w, p * (q * w)
         yield f"case={case} mul_comm", pq, q * p
-        yield f"case={case} distrib", p * (q + w), pq + p * w
+        yield f"case={case} distrib", p * q_w, pq + p * w
         yield f"case={case} add_ident", p + ZERO, p
         yield f"case={case} mul_ident", p * ONE, p
         yield f"case={case} pow", p ** 2, p * p
@@ -199,15 +221,17 @@ def _check_det_fib(r_max: int, n_max: int, rng: random.Random) -> Iterator[Insta
 
 
 def _check_minor_product(r_max: int, n_max: int, rng: random.Random) -> Iterator[Instance]:
+    # gaps[deleted] is the product of fib(i - prev) over the deleted i,
+    # from prev = 0; it does not depend on n, so each set's is made once,
+    # from the set without its last index, which came first
+    gaps = {(): ONE}
     for n in range(1, min(n_max, 10) + 1):
         for size in range(n + 1):
             for deleted in combinations(range(1, n + 1), size):
-                product = ONE
-                prev = 0
-                for i in deleted:
-                    product = product * fib(i - prev)
-                    prev = i
-                product = product * fib(n - prev + 1)
+                if deleted not in gaps:
+                    head = deleted[:-1]
+                    gaps[deleted] = gaps[head] * fib(deleted[-1] - (head[-1] if head else 0))
+                product = gaps[deleted] * fib(n - (deleted[-1] if deleted else 0) + 1)
                 desc = f"n={n} deleted={list(deleted)}"
                 yield desc, principal_minor(n, deleted), product
     for n in range(11, n_max + 11):  # n > 10 packs wider than one byte

@@ -1,20 +1,28 @@
-"""Every oversized or malformed CLI argument gets one short refusal line.
+"""Every oversized or malformed CLI argument gets one short refusal line,
+and the largest accepted input of each command ends in time.
 
-Each case runs `python -m hfib` in a child with a 2 GB address-space
+Each refusal runs `python -m hfib` in a child with a 2 GB address-space
 limit and a timeout, and requires exit 2, no traceback, stderr lines of
 at most 200 characters, and a small peak resident size for the child.
+Each command's largest accepted input runs the same way, and must exit
+0 within the timeout at a peak resident size of a few hundred MB.
 """
 from __future__ import annotations
 
 import contextlib
 import io
+import os
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
-from hfib.cli import MAX_COEFF_BITS, MAX_TABLE_BITS, MAX_LENGTH, MAX_ORDER, MAX_ORDERS, MAX_SEED, _build_parser, main
+from hfib.cli import (
+    MAX_COEFF_BITS, MAX_TABLE_BITS, MAX_LENGTH, MAX_ORDER, MAX_ORDERS, MAX_SEED, MAX_VERIFY_N, MAX_VERIFY_R,
+    _build_parser, main,
+)
 
 LONG = "9x" * 1500  # a 3,000-character argument
 TOP_ORDERS = ",".join(str(r) for r in range(MAX_ORDER, MAX_ORDER - MAX_ORDERS, -1))  # 100,99,...,85
@@ -52,24 +60,40 @@ def _limit_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
+def run_hfib(argv: list[str], tmp_path) -> tuple[int, bytes, str, int]:
+    """Run `python -m hfib argv` in a child under the memory limit, for
+    at most 20 s; return its exit code, stdout, stderr and its own peak
+    resident size in KiB (on Linux).  The child is reaped here, as the
+    peak of RUSAGE_CHILDREN would be that of the largest child so far.
+    """
+    out, err = tmp_path / "out", tmp_path / "err"
+    with open(out, "wb") as stdout, open(err, "wb") as stderr:
+        proc = subprocess.Popen([sys.executable, "-m", "hfib", *argv], stdout=stdout, stderr=stderr, preexec_fn=_limit_memory)
+    deadline = time.monotonic() + 20
+    while True:
+        pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
+        if pid:
+            break
+        if time.monotonic() > deadline:
+            proc.kill()
+            proc.wait()
+            pytest.fail(f"hfib {argv[0]} ran past 20 s")
+        time.sleep(0.02)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, out.read_bytes(), err.read_text(), usage.ru_maxrss
+
+
 @pytest.mark.parametrize("argv", REFUSED.values(), ids=REFUSED.keys())
-def test_oversized_argument_is_refused_in_one_short_line(argv):
-    proc = subprocess.run(
-        [sys.executable, "-m", "hfib", *argv],
-        capture_output=True,
-        text=True,
-        timeout=20,
-        preexec_fn=_limit_memory,
-    )
-    assert proc.returncode == 2, proc.stderr[-300:]
-    assert proc.stdout == ""
-    assert "Traceback" not in proc.stderr
-    lines = proc.stderr.splitlines()
+def test_oversized_argument_is_refused_in_one_short_line(argv, tmp_path):
+    code, stdout, stderr, peak = run_hfib(argv, tmp_path)
+    assert code == 2, stderr[-300:]
+    assert stdout == b""
+    assert "Traceback" not in stderr
+    lines = stderr.splitlines()
     assert max(len(line) for line in lines) <= 200
     refusal = [line for line in lines if not line.startswith(("usage:", " "))]
     assert len(refusal) == 1 and refusal[0].startswith(f"hfib {argv[0]}: error: ")
-    # peak resident size of the largest child so far, in KiB on Linux
-    assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss < 200 * 1024
+    assert peak < 200 * 1024
 
 
 def test_refusals_quote_at_most_40_characters():
@@ -112,3 +136,22 @@ def test_caps_admit_the_deep_verify_bounds():
 
 def test_caps_admit_the_largest_seed():
     assert _build_parser().parse_args(["verify", "--seed", str(MAX_SEED)]).seed == MAX_SEED
+
+
+# the largest input each command accepts: every argument at its cap
+LARGEST = {
+    "verify": ["verify", "--r-max", str(MAX_VERIFY_R), "--n-max", str(MAX_VERIFY_N)],
+    "gf": ["gf", "--r", str(MAX_ORDER), "--terms", str(MAX_LENGTH)],
+    "charpoly": ["charpoly", "--n", str(MAX_LENGTH)],
+    "table": ["table", "--r", TOP_ORDERS, "--n-max", str(MAX_LENGTH), "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("argv", LARGEST.values(), ids=LARGEST.keys())
+def test_largest_accepted_input_ends_in_time_and_memory(argv, tmp_path):
+    # README "Limits": about ten seconds or less and a few hundred MB at
+    # the caps; run_hfib's 20 s leave room for a host twice as slow
+    code, stdout, stderr, peak = run_hfib(argv, tmp_path)
+    assert code == 0, stderr[-300:]
+    assert stderr == "" and stdout.endswith(b"\n")
+    assert peak < 400 * 1024

@@ -215,9 +215,12 @@ def test_compose_identity(p):
     assert compose(p, H) == p
 
 
-@given(polys)
-def test_normalized_invariant(p):
-    assert not p.coeffs or p.coeffs[-1] != 0
+@given(polys, polys)
+def test_normalized_invariant(p, q):
+    # a product is built without the normalizing constructor: over Z and
+    # Z[h] its leading coefficient cannot vanish
+    for value in (p, p + q, p * q, TPoly([p, q]) * TPoly([q, ONE, p])):
+        assert not value.coeffs or value.coeffs[-1]
 
 
 @given(polys, st.integers(min_value=-50, max_value=50))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import sys
 
 import pytest
@@ -59,6 +60,23 @@ def test_fib_equals_combinatorial_to_64():
 def test_lucas_relation_to_64():
     for n in range(1, 65):
         assert lucas(n) == fib(n - 1) + fib(n + 1), n
+
+
+def double_binomial_sum(r, j):
+    """F(r, j+1) term by term as C(j+r-l-1, j-l) * C(j-l, l) * h^(j-2l),
+    two math.comb calls per coefficient: the reference for the ratio
+    steps of convolved_closed_form.
+    """
+    coeffs = [0] * (j + 1)
+    for l in range(j // 2 + 1):
+        coeffs[j - 2 * l] = math.comb(j + r - l - 1, j - l) * math.comb(j - l, l)
+    return Poly(coeffs)
+
+
+def test_closed_form_ratio_steps_equal_the_double_binomial_sum():
+    for r in range(1, 17):
+        for j in range(101):
+            assert convolved_closed_form(r, j) == double_binomial_sum(r, j), (r, j)
 
 
 def test_closed_form_examples():

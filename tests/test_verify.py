@@ -7,7 +7,10 @@ import pytest
 
 import hfib
 from golden import TABLE_R123, assert_valid_report_dict, corrupt_check
-from hfib import ONE, ZERO, CheckResult, Poly, QuadExt, SuiteReport, TPoly, convolved_table, report_to_dict, run_suite, verify
+from hfib import (
+    H, ONE, ZERO, CheckResult, Poly, QuadExt, Series, SuiteReport, TPoly, binom, convolved_table, report_to_dict,
+    run_suite, verify,
+)
 from hfib.poly import Dense
 
 CHECK_IDS = sorted(dict(verify._CHECKS))
@@ -110,6 +113,23 @@ def test_check_that_raises_fails_and_the_suite_runs_on(monkeypatch, yield_first)
     assert_valid_report_dict(report_to_dict(report))
 
 
+def randint_poly(rng, max_degree, max_coeff):
+    """_random_poly as rng.randint draws it: the formulation its
+    getrandbits draws must equal value for value.
+    """
+    degree = rng.randint(0, max_degree)
+    return Poly([rng.randint(-max_coeff, max_coeff) for _ in range(degree + 1)])
+
+
+@pytest.mark.parametrize("max_degree, max_coeff", [(12, 10**6), (0, 3), (1, 3)])
+def test_random_poly_draws_as_randint_draws(max_degree, max_coeff):
+    for seed in range(5):
+        ours, reference = random.Random(seed), random.Random(seed)
+        for _ in range(400):
+            assert verify._random_poly(ours, max_degree, max_coeff) == randint_poly(reference, max_degree, max_coeff)
+        assert ours.getstate() == reference.getstate()
+
+
 def test_report_dict_schema():
     report = run_suite(r_max=1, n_max=2)
     obj = report_to_dict(report)
@@ -157,12 +177,14 @@ def test_bounds_and_seed_must_be_ints_not_bools(monkeypatch, bounds):
         run_suite(*bounds)
 
 
-# Each exported callable that takes a size, named as in hfib.__all__ (a
-# method as Class.method): arguments it accepts, and for each size
-# parameter its least value and its largest (None for no upper end).
-# convolved_table's sizes are the orders listed in r_list.
+# Each exported callable that takes a size or another int argument,
+# named as in hfib.__all__ (a method as Class.method): arguments it
+# accepts, and for each such parameter its least value and its largest
+# (None for no end).  convolved_table's sizes are the orders listed in
+# r_list.
 SIZED = {
     "binet_scaled": ({"n": 2}, {"n": (0, None)}),
+    "binom": ({"n": 5, "k": 2}, {"n": (None, None), "k": (None, None)}),
     "build_fib_matrix": ({"n": 2}, {"n": (1, None)}),
     "char_poly": ({"n": 2}, {"n": (1, None)}),
     "charpoly_shift_sides": ({"n": 2}, {"n": (1, None)}),
@@ -183,17 +205,15 @@ SIZED = {
     "Poly.__pow__": ({"k": 2}, {"k": (0, None)}),
     "TPoly.__pow__": ({"k": 2}, {"k": (0, None)}),
     "QuadExt.__pow__": ({"k": 2}, {"k": (0, None)}),
+    "Series.__pow__": ({"k": -2}, {"k": (None, None)}),
+    "TPoly.coefficient": ({"power": 1}, {"power": (None, None)}),
 }
 
-# exports with an int parameter that is not a size
-NOT_SIZED = {
-    "binom",  # C(n, k) for any ints, 0 outside 0 <= k <= n
-    "Series.__pow__",  # any int exponent
+SIZE_PARAMETERS = {
+    "n", "m", "j", "l", "r", "k", "n_terms", "order", "r_list", "r_max", "n_max", "seed", "power",
 }
 
-SIZE_PARAMETERS = {"n", "m", "j", "l", "r", "k", "n_terms", "order", "r_list", "r_max", "n_max", "seed"}
-
-UNITS = {"Poly": ONE, "TPoly": TPoly([ONE]), "QuadExt": QuadExt(ONE, ZERO)}
+UNITS = {"Poly": ONE, "TPoly": TPoly([ONE]), "QuadExt": QuadExt(ONE, ZERO), "Series": Series([ONE], 2)}
 
 
 def sized_callable(name):
@@ -204,7 +224,7 @@ def sized_callable(name):
 def bad_sizes():
     for name, (_, sizes) in SIZED.items():
         for parameter, (least, most) in sizes.items():
-            wrong = [2.5, True, "3", least - 1] + ([] if most is None else [most + 1])
+            wrong = [2.5, True, "3"] + ([] if least is None else [least - 1]) + ([] if most is None else [most + 1])
             for value in wrong:
                 yield pytest.param(name, parameter, value, id=f"{name}-{parameter}={value!r}")
 
@@ -236,10 +256,26 @@ def test_every_export_that_takes_a_size_is_in_the_table():
         value = getattr(hfib, name)
         if isinstance(value, type) and hasattr(value, "__pow__"):
             found.add(f"{name}.__pow__")
+        if isinstance(value, type) and not issubclass(value, Exception):
+            for method in vars(value):  # its own methods, not inherited ones
+                function = getattr(value, method)
+                if callable(function) and not method.startswith("_"):
+                    if SIZE_PARAMETERS & set(inspect.signature(function).parameters):
+                        found.add(f"{name}.{method}")
         if callable(value) and not (isinstance(value, type) and issubclass(value, Exception)):
             if SIZE_PARAMETERS & set(inspect.signature(value).parameters):
                 found.add(name)
-    assert found - NOT_SIZED == set(SIZED)
+    assert found == set(SIZED)
+
+
+def test_unbounded_int_arguments_keep_their_int_results():
+    # binom is 0 outside 0 <= k <= n, a coefficient past the stored
+    # range is ZERO, and a Series takes a negative power
+    assert [binom(-3, -1), binom(-3, 2), binom(3, 5), binom(3, -1), binom(5, 2)] == [0, 0, 0, 0, 10]
+    cp = TPoly([ONE, H])
+    assert [cp.coefficient(power) for power in (-1, 0, 1, 2, 10**30)] == [ZERO, ONE, H, ZERO, ZERO]
+    assert Series([ONE, H], 3) ** -2 == Series([ONE, -2 * H, 3 * H**2], 3)
+    assert Series([ONE, H], 3) ** 0 == Series([ONE], 3)
 
 
 def test_convolved_table_matches_frozen_table():
