@@ -13,8 +13,7 @@ from .hessenberg import (
     sum_principal_minors,
 )
 from .parse import ParseError, parse_poly
-from .poly import H, ONE, ZERO, NotDivisible, Poly, TPoly, binom
-from .quadext import QuadExt
+from .poly import H, ONE, ZERO, NotDivisible, Poly, QuadExt, TPoly, binom
 from .sequences import (
     binet_scaled,
     convolved_closed_form,

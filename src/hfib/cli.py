@@ -21,6 +21,8 @@ from .poly import ONE, ZERO, Poly, from_digits
 from .series import convolved_series
 from .verify import convolved_table, report_to_dict, run_suite
 
+# CSV fields are written unquoted: integers, true/false, check ids and
+# Poly renderings hold no comma, quote, CR or LF
 FORMATS = ("text", "csv", "json", "latex")
 
 
@@ -70,15 +72,6 @@ def _subst_poly(text: str) -> Poly:
         raise argparse.ArgumentTypeError(f"bad polynomial {_quote(text)}: {exc}")
 
 
-def _latex_escape(text: str) -> str:
-    return text.replace("_", r"\_")
-
-
-def _csv_line(fields: list[str]) -> str:
-    # integers, true/false, check ids and Poly renderings hold no comma, quote, CR or LF
-    return ",".join(fields)
-
-
 def cmd_table(args: argparse.Namespace) -> int:
     e, at = args.subst, args.at
     top = max(args.n_max - 1, 0)  # the largest entry degree
@@ -111,7 +104,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         lines.append("n,r,poly")
         for n, row in enumerate(rows):
             for r, p in zip(args.r, row):
-                lines.append(_csv_line([str(n), str(r), str(p)]))
+                lines.append(f"{n},{r},{p}")
     elif args.format == "json":
         payload = {
             "r_list": args.r,
@@ -134,7 +127,7 @@ def cmd_gf(args: argparse.Namespace) -> int:
     elif args.format == "csv":
         lines.append("j,r,poly")
         for j, p in enumerate(coeffs):
-            lines.append(_csv_line([str(j), str(args.r), str(p)]))
+            lines.append(f"{j},{args.r},{p}")
     elif args.format == "json":
         payload = {
             "r": args.r,
@@ -165,7 +158,7 @@ def cmd_charpoly(args: argparse.Namespace) -> int:
     elif args.format == "csv":
         lines.append("power,sign,r,index,poly")
         for l, sign, r, idx in annotations:
-            lines.append(_csv_line([str(l), str(sign), str(r), str(idx), str(cp.coefficient(l))]))
+            lines.append(f"{l},{sign},{r},{idx},{cp.coefficient(l)}")
     elif args.format == "json":
         payload = {
             "n": n,
@@ -193,11 +186,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     elif args.format == "csv":
         lines.append("check_id,passed,elapsed_ms")
         for r in report.results:
-            lines.append(_csv_line([r.check_id, str(r.passed).lower(), str(r.elapsed_ms)]))
+            lines.append(f"{r.check_id},{str(r.passed).lower()},{r.elapsed_ms}")
     elif args.format == "latex":
         for r in report.results:
             status = "pass" if r.passed else "FAIL"
-            lines.append(f"{_latex_escape(r.check_id)} & {status}" + r" \\")
+            lines.append(r.check_id.replace("_", r"\_") + f" & {status}" + r" \\")
     else:
         width = max(len(r.check_id) for r in report.results)
         for r in report.results:

@@ -6,13 +6,14 @@ trailing zero) and immutable; the zero polynomial is the empty tuple
 and its degree is None rather than a fake integer.  This module is
 the ring core: Dense holds the dense arithmetic and the rendering loop
 of both Poly and TPoly, the polynomials in t with Poly coefficients of
-the characteristic polynomial; ring_pow is the package's one
-square-and-multiply; to_digits and from_digits convert exact integers
-at any size; pack and unpack hold a polynomial in h that has only
-powers of one parity as a single int, the one packed layout of the
-routes that run on ints; check_size is the one guard of every size,
-bound, order, seed, exponent and other int argument the public API
-takes.
+the characteristic polynomial; QuadExt is the extension ring Z[h][s]
+with s^2 = DISC = h^2 + 4, where the sequences' root forms live;
+ring_pow is the package's one square-and-multiply; to_digits and
+from_digits convert exact integers at any size; pack and unpack hold a
+polynomial in h that has only powers of one parity as a single int,
+the one packed layout of the routes that run on ints; check_size is
+the one guard of every size, bound, order, seed, exponent and other
+int argument the public API takes.
 
 >>> Poly([0, 2, 0, 1])
 Poly('h^3 + 2h')
@@ -296,9 +297,6 @@ class TPoly(Dense):
             return self.coeffs[power]
         return ZERO
 
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == ONE
-
     def _term(self, c: Poly, k: int) -> tuple[bool, str]:
         """c*t^k with the sign of c's leading coefficient pulled out; a
         multi-term c is parenthesized and a unit c omitted, as in
@@ -316,6 +314,61 @@ class TPoly(Dense):
 
     def to_json(self) -> list[list[str]]:
         return [c.to_json() for c in self.coeffs]
+
+
+# s^2 reduces to this.
+DISC = Poly([4, 0, 1])
+
+
+class QuadExt:
+    """The extension ring Z[h][s] with s^2 = h^2 + 4.
+
+    Elements are a + b*s with Poly components; products reduce s^2
+    immediately, so no s-degree above 1 is ever stored.  This is where
+    the closed root forms 2*r1 = h + s and 2*r2 = h - s live, which
+    turns the root formulas for the sequences into exact polynomial
+    statements.
+    """
+
+    __slots__ = ("a", "b")
+
+    a: Poly
+    b: Poly
+
+    def __init__(self, a: Poly, b: Poly):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("QuadExt is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, QuadExt) and self.a == other.a and self.b == other.b
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
+
+    def __add__(self, other: QuadExt) -> QuadExt:
+        return QuadExt(self.a + other.a, self.b + other.b)
+
+    def __sub__(self, other: QuadExt) -> QuadExt:
+        return QuadExt(self.a - other.a, self.b - other.b)
+
+    def __mul__(self, other: QuadExt) -> QuadExt:
+        # (a1 + b1 s)(a2 + b2 s) = (a1 a2 + b1 b2 (h^2+4)) + (a1 b2 + a2 b1) s
+        return QuadExt(
+            self.a * other.a + self.b * other.b * DISC,
+            self.a * other.b + other.a * self.b,
+        )
+
+    def __pow__(self, k: int) -> QuadExt:
+        return ring_pow(self, k, QuadExt(ONE, ZERO))
+
+    def __str__(self) -> str:
+        return f"({self.a}) + ({self.b})s"
+
+    def __repr__(self) -> str:
+        return f"QuadExt({self.a!r}, {self.b!r})"
 
 
 def check_size(name: str, value: int, least: int | None = None, most: int | None = None) -> None:

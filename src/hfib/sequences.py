@@ -25,8 +25,7 @@ import math
 import threading
 from operator import mul
 
-from .poly import H, ONE, ZERO, Poly, binom, check_size, pack, unpack
-from .quadext import DISC, QuadExt
+from .poly import DISC, H, ONE, ZERO, Poly, QuadExt, binom, check_size, pack, unpack
 
 _lock = threading.RLock()
 _fib: list[Poly] = [ZERO, ONE]

@@ -148,7 +148,7 @@ def test_determinant_suite():
                     failures.append(("minor product", n, deleted))
     for n in range(1, 13):
         cp = char_poly(n)
-        if not (cp.is_monic() and cp.degree == n):
+        if not (cp.degree == n and cp.coefficient(n) == ONE):
             failures.append(("monic", n))
         for l in range(n + 1):
             expected = convolved_closed_form(l + 1, n - l)

@@ -2,9 +2,9 @@
 
 The series route (series.py), the minor-sum and determinant routes
 (hessenberg.py) and the closed-form, convolution and recurrence routes
-(sequences.py) may import only the ring core: poly.py, and quadext.py
-for the sequences' root forms.  A route that called another route's
-code would no longer check it independently.  Three routes share
+(sequences.py) may import only the ring core, poly.py, which alone
+defines ring arithmetic.  A route that called another route's code
+would no longer check it independently.  Three routes share
 sequences.py, so the same rule is also checked per function: the hfib
 functions and classes each route's entry point reaches, outside the
 ring core, belong to that route alone.
@@ -24,7 +24,7 @@ from hfib import Poly, TPoly
 
 PACKAGE = Path(hfib.__file__).parent
 
-RING_CORE = {"poly", "quadext"}
+RING_CORE = {"poly"}
 
 ROUTES = {
     "closed form": ("sequences", "convolved_closed_form"),
@@ -37,7 +37,7 @@ ROUTES = {
 ALLOWED = {
     "series.py": {"poly"},
     "hessenberg.py": {"poly"},
-    "sequences.py": {"poly", "quadext"},
+    "sequences.py": {"poly"},
 }
 
 
@@ -145,3 +145,16 @@ def test_only_the_ring_core_packs_ints():
             if isinstance(node, ast.Attribute) and node.attr in ("to_bytes", "from_bytes"):
                 packing.add(path.stem)
     assert packing == {"poly"}
+
+
+def test_only_the_ring_core_defines_ring_arithmetic():
+    # Series.__pow__ is route 4's power recurrence, not ring arithmetic
+    found = {
+        (path.stem, node.name, item.name)
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name in ("__add__", "__sub__", "__mul__", "__neg__")
+    }
+    assert {module for module, _, _ in found} == {"poly"}, found

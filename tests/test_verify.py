@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import ast
 import inspect
 import random
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +48,18 @@ def test_every_check_appears_exactly_once_sorted():
     assert ids == sorted(ids)
     assert len(ids) == len(set(ids))
     assert ids == CHECK_IDS
+
+
+def test_check_ids_are_the_benchmarks():
+    # perfbench/run.py reports verify.<check_id>_ms for each of its
+    # CHECK_IDS, and a check it names that verify does not is a null metric
+    run_py = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+    assigned = {
+        target.id: node.value
+        for node in ast.parse(run_py.read_text()).body if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+    assert sorted(ast.literal_eval(assigned["CHECK_IDS"])) == CHECK_IDS
 
 
 def test_deterministic_modulo_elapsed():
