@@ -1,5 +1,10 @@
 """Exact arithmetic for generalized Fibonacci/Lucas polynomials, their
-convolutions, and the Hessenberg-determinant identities they satisfy."""
+convolutions, and the Hessenberg-determinant identities they satisfy.
+
+The names imported here are the public API: __all__ is built from them,
+so each is stated once.
+"""
+from types import ModuleType as _ModuleType
 
 from .hessenberg import (
     HessMatrix,
@@ -29,40 +34,5 @@ from .verify import CheckResult, SuiteReport, convolved_table, report_to_dict, r
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "H",
-    "ONE",
-    "ZERO",
-    "CheckResult",
-    "HessMatrix",
-    "IndexOutOfRange",
-    "NotDivisible",
-    "NotInvertible",
-    "ParseError",
-    "Poly",
-    "QuadExt",
-    "Series",
-    "SuiteReport",
-    "TPoly",
-    "binet_scaled",
-    "binom",
-    "build_fib_matrix",
-    "char_poly",
-    "charpoly_shift_sides",
-    "convolved_closed_form",
-    "convolved_convolution",
-    "convolved_recurrence",
-    "convolved_series",
-    "convolved_table",
-    "derivative_identity_sides",
-    "fib",
-    "hess_det",
-    "lucas",
-    "lucas_decomposition_sides",
-    "minor_sum_closed_form",
-    "parse_poly",
-    "principal_minor",
-    "report_to_dict",
-    "run_suite",
-    "sum_principal_minors",
-]
+# every public name bound above except the submodules the imports bind
+__all__ = [n for n, v in globals().items() if not n.startswith("_") and not isinstance(v, _ModuleType)]

@@ -170,7 +170,7 @@ def principal_minor(n: int, deleted: Iterable[int]) -> Poly:
     deleted = tuple(deleted)
     prev = 0
     for i in deleted:
-        if not (isinstance(i, int) and not isinstance(i, bool) and prev < i <= n):
+        if not (type(i) is int and prev < i <= n):  # as check_size: no bool, no subclass
             raise IndexOutOfRange(f"deletion indices must be strictly increasing ints in 1..{n}")
         prev = i
     gone = set(deleted)

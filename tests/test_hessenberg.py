@@ -344,6 +344,14 @@ def test_principal_minor_validation():
     with pytest.raises(IndexOutOfRange):
         principal_minor(3, [1, True])
 
+    class Index(int):  # check_size's rule: an index is of type int itself
+        pass
+
+    with pytest.raises(IndexOutOfRange):
+        principal_minor(3, [Index(2)])
+    with pytest.raises(IndexOutOfRange):
+        principal_minor(3, [1, Index(3)])
+
 
 def test_minor_product_formula_full_enumeration():
     for n in range(1, 11):

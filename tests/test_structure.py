@@ -16,6 +16,7 @@ import subprocess
 import sys
 from itertools import combinations
 from pathlib import Path
+from types import FunctionType, ModuleType
 
 import pytest
 
@@ -158,3 +159,19 @@ def test_only_the_ring_core_defines_ring_arithmetic():
         if isinstance(item, ast.FunctionDef) and item.name in ("__add__", "__sub__", "__mul__", "__neg__")
     }
     assert {module for module, _, _ in found} == {"poly"}, found
+
+
+def test_the_public_names_are_what_the_package_imports():
+    # __all__ is built from __init__'s own names, so a stray import there
+    # would become public API unnoticed
+    namespace = {}
+    exec("from hfib import *", namespace)
+    namespace.pop("__builtins__")
+    assert len(set(hfib.__all__)) == len(hfib.__all__)
+    assert namespace.keys() == set(hfib.__all__)
+    for name in hfib.__all__:
+        value = getattr(hfib, name)
+        assert not isinstance(value, ModuleType), name
+        # a class or function names its module; H, ONE and ZERO are Polys
+        module = value.__module__ if isinstance(value, (type, FunctionType)) else type(value).__module__
+        assert module.partition(".")[0] == "hfib", (name, module)
