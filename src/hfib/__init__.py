@@ -8,7 +8,6 @@ from types import ModuleType as _ModuleType
 
 from .hessenberg import (
     HessMatrix,
-    IndexOutOfRange,
     build_fib_matrix,
     char_poly,
     charpoly_shift_sides,
@@ -30,7 +29,7 @@ from .sequences import (
     lucas_decomposition_sides,
 )
 from .series import NotInvertible, Series, convolved_series
-from .verify import CheckResult, SuiteReport, convolved_table, report_to_dict, run_suite
+from .verify import CheckResult, SuiteReport, report_to_dict, run_suite
 
 __version__ = "0.1.0"
 

@@ -1,10 +1,11 @@
 """Command-line surface: table, gf, charpoly, verify.
 
-All data goes to stdout, diagnostics to stderr.  Exit codes: 0 on
-success (for verify: all checks passed), 1 when verification fails,
-2 on usage errors and when the output cannot be written.  Output is
-byte-identical across identical invocations; the only timing field
-lives in verify reports.
+All data goes to stdout, each line as it is made (JSON as one
+document), and diagnostics to stderr.  Exit codes: 0 on success (for
+verify: all checks passed), 1 when verification fails, 2 on usage
+errors and when the output cannot be written.  Output is byte-identical
+across identical invocations; the only timing field lives in verify
+reports.
 """
 from __future__ import annotations
 
@@ -19,7 +20,8 @@ from .hessenberg import char_poly
 from .parse import MAX_DEGREE, ParseError, parse_poly, width
 from .poly import ONE, ZERO, Poly, from_digits
 from .series import convolved_series
-from .verify import convolved_table, report_to_dict, run_suite
+from .sequences import convolved_closed_form
+from .verify import report_to_dict, run_suite
 
 # CSV fields are written unquoted: integers, true/false, check ids and
 # Poly renderings hold no comma, quote, CR or LF
@@ -85,60 +87,61 @@ def cmd_table(args: argparse.Namespace) -> int:
         if top * degree > MAX_DEGREE or bits > MAX_COEFF_BITS or size > MAX_TABLE_BITS:
             args.refuse(f"--subst/--at table over degree {MAX_DEGREE}, "
                         f"{MAX_COEFF_BITS}-bit coefficients or {MAX_TABLE_BITS} bits")
-    rows = convolved_table(args.r, args.n_max)
+    # row 0 is zero (the sequences start 0, 1, r*h, ...) and row n holds
+    # coefficient n - 1 of each generating function power; each row is
+    # made, substituted and printed before the next, so no table is held
+    rows = ([ZERO] * len(args.r) if n == 0 else [convolved_closed_form(r, n - 1) for r in args.r]
+            for n in range(args.n_max + 1))
     if at is not None:  # p(E(A)) is the substituted entry at A
         x = at if e is None else e(at)
-        rows = [[Poly([p(x)]) for p in row] for row in rows]
+        rows = ([Poly([p(x)]) for p in row] for row in rows)
     elif e is not None:  # sum of c_k * E^k over one table of powers
         powers = [ONE, e]
         while len(powers) <= top:
             powers.append(powers[-1] * e)
-        rows = [[sum((c * powers[k] for k, c in enumerate(p.coeffs) if c), ZERO)
-                 for p in row] for row in rows]
-    lines: list[str] = []
+        rows = ([sum((c * powers[k] for k, c in enumerate(p.coeffs) if c), ZERO)
+                 for p in row] for row in rows)
     if args.format == "text":
-        lines.append("n\t" + "\t".join(f"r={r}" for r in args.r))
+        print("n\t" + "\t".join(f"r={r}" for r in args.r))
         for n, row in enumerate(rows):
-            lines.append(f"{n}\t" + "\t".join(str(p) for p in row))
+            print(f"{n}\t" + "\t".join(str(p) for p in row))
     elif args.format == "csv":
-        lines.append("n,r,poly")
+        print("n,r,poly")
         for n, row in enumerate(rows):
             for r, p in zip(args.r, row):
-                lines.append(f"{n},{r},{p}")
+                print(f"{n},{r},{p}")
     elif args.format == "json":
         payload = {
             "r_list": args.r,
             "n_max": args.n_max,
             "rows": [[p.to_json() for p in row] for row in rows],
         }
-        lines.append(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2))
     else:  # latex
         for n, row in enumerate(rows):
-            lines.append(f"{n} & " + " & ".join(f"${p}$" for p in row) + r" \\")
-    print("\n".join(lines))
+            print(f"{n} & " + " & ".join(f"${p}$" for p in row) + r" \\")
     return 0
 
 
 def cmd_gf(args: argparse.Namespace) -> int:
     coeffs = convolved_series(args.r, args.terms)
-    lines: list[str] = []
     if args.format == "text":
-        lines.extend(str(p) for p in coeffs)
+        for p in coeffs:
+            print(p)
     elif args.format == "csv":
-        lines.append("j,r,poly")
+        print("j,r,poly")
         for j, p in enumerate(coeffs):
-            lines.append(f"{j},{args.r},{p}")
+            print(f"{j},{args.r},{p}")
     elif args.format == "json":
         payload = {
             "r": args.r,
             "terms": args.terms,
             "coefficients": [p.to_json() for p in coeffs],
         }
-        lines.append(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2))
     else:
         for j, p in enumerate(coeffs):
-            lines.append(f"{j} & ${p}$" + r" \\")
-    print("\n".join(lines))
+            print(f"{j} & ${p}$" + r" \\")
     return 0
 
 
@@ -149,16 +152,15 @@ def cmd_charpoly(args: argparse.Namespace) -> int:
     for l in range(n, -1, -1):
         sign = -1 if (n - l) % 2 else 1
         annotations.append((l, sign, l + 1, n - l + 1))
-    lines: list[str] = []
     if args.format == "text":
-        lines.append(str(cp))
+        print(cp)
         for l, sign, r, idx in annotations:
             mark = "+" if sign > 0 else "-"
-            lines.append(f"t^{l}: {cp.coefficient(l)} = {mark}conv(r={r}, n={idx})")
+            print(f"t^{l}: {cp.coefficient(l)} = {mark}conv(r={r}, n={idx})")
     elif args.format == "csv":
-        lines.append("power,sign,r,index,poly")
+        print("power,sign,r,index,poly")
         for l, sign, r, idx in annotations:
-            lines.append(f"{l},{sign},{r},{idx},{cp.coefficient(l)}")
+            print(f"{l},{sign},{r},{idx},{cp.coefficient(l)}")
     elif args.format == "json":
         payload = {
             "n": n,
@@ -168,42 +170,39 @@ def cmd_charpoly(args: argparse.Namespace) -> int:
                 for l, sign, r, idx in annotations
             ],
         }
-        lines.append(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2))
     else:
-        lines.append(f"$p_{{{n}}}(t) = {cp}$" + r" \\")
+        print(f"$p_{{{n}}}(t) = {cp}$" + r" \\")
         for l, sign, r, idx in annotations:
             mark = "+" if sign > 0 else "-"
-            lines.append(f"{l} & ${cp.coefficient(l)}$ & ${mark}$ & {r} & {idx}" + r" \\")
-    print("\n".join(lines))
+            print(f"{l} & ${cp.coefficient(l)}$ & ${mark}$ & {r} & {idx}" + r" \\")
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     report = run_suite(args.r_max, args.n_max, args.seed)
-    lines: list[str] = []
     if args.format == "json":
-        lines.append(json.dumps(report_to_dict(report), indent=2))
+        print(json.dumps(report_to_dict(report), indent=2))
     elif args.format == "csv":
-        lines.append("check_id,passed,elapsed_ms")
+        print("check_id,passed,elapsed_ms")
         for r in report.results:
-            lines.append(f"{r.check_id},{str(r.passed).lower()},{r.elapsed_ms}")
+            print(f"{r.check_id},{str(r.passed).lower()},{r.elapsed_ms}")
     elif args.format == "latex":
         for r in report.results:
             status = "pass" if r.passed else "FAIL"
-            lines.append(r.check_id.replace("_", r"\_") + f" & {status}" + r" \\")
+            print(r.check_id.replace("_", r"\_") + f" & {status}" + r" \\")
     else:
         width = max(len(r.check_id) for r in report.results)
         for r in report.results:
             status = "PASS" if r.passed else "FAIL"
-            lines.append(f"{status}  {r.check_id:<{width}}  {r.elapsed_ms} ms")
+            print(f"{status}  {r.check_id:<{width}}  {r.elapsed_ms} ms")
             if r.counterexample is not None:
-                lines.append(f"      counterexample: {r.counterexample}")
+                print(f"      counterexample: {r.counterexample}")
         summary = "all checks passed" if report.all_passed else "FAILURES PRESENT"
-        lines.append(
+        print(
             f"{summary} (r_max={report.bounds['r_max']}, "
             f"n_max={report.bounds['n_max']}, seed={report.bounds['seed']})"
         )
-    print("\n".join(lines))
     return 0 if report.all_passed else 1
 
 

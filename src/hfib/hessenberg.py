@@ -27,11 +27,6 @@ from typing import Iterable, Sequence
 from .poly import H, ONE, ZERO, Poly, TPoly, binom, check_size, unpack
 
 
-class IndexOutOfRange(IndexError):
-    """A deletion index is not an int (a bool is refused too), or the
-    list is not strictly increasing inside 1..n."""
-
-
 class HessMatrix:
     """Square matrix of Poly entries with zeros below the subdiagonal."""
 
@@ -165,13 +160,13 @@ def _kept_minors(d: list, kept: Sequence[int], start: int, shift: int) -> list:
 def principal_minor(n: int, deleted: Iterable[int]) -> Poly:
     """Determinant of the Fibonacci matrix with the 1-based rows and
     columns in `deleted` removed (the empty matrix has determinant 1).
+    The indices must be strictly increasing ints in 1..n.
     """
     check_size("n", n, 1)
     deleted = tuple(deleted)
     prev = 0
     for i in deleted:
-        if not (type(i) is int and prev < i <= n):  # as check_size: no bool, no subclass
-            raise IndexOutOfRange(f"deletion indices must be strictly increasing ints in 1..{n}")
+        check_size("deleted index", i, prev + 1, n)
         prev = i
     gone = set(deleted)
     kept = [i for i in range(1, n + 1) if i not in gone]

@@ -47,9 +47,8 @@ class _Parser:
         return self.text[self.pos] if self.pos < len(self.text) else None
 
     def _take(self) -> str:
+        """The character each caller has just peeked, so never the end."""
         ch = self._peek()
-        if ch is None:
-            raise ParseError("unexpected end of input", self.pos)
         self.pos += 1
         return ch
 

@@ -94,10 +94,9 @@ def _random_poly(rng: random.Random, max_degree: int, max_coeff: int) -> Poly:
 
 
 def _naive_det(rows: list[list[Poly]]) -> Poly:
-    """Cofactor expansion along the first column; the slow oracle."""
+    """Cofactor expansion along the first column of a grid of order at
+    least 1; the slow oracle."""
     n = len(rows)
-    if n == 0:
-        return ONE
     if n == 1:
         return rows[0][0]
     total = ZERO
@@ -352,19 +351,3 @@ def report_to_dict(report: SuiteReport) -> dict:
         "all_passed": report.all_passed,
         "results": results,
     }
-
-
-def convolved_table(r_list: list[int], n_max: int) -> list[list[Poly]]:
-    """Rows n = 0..n_max of the convolved polynomials, one column per r.
-
-    Row 0 is zero by the indexing convention (the sequences start 0, 1,
-    r*h, ...); row n >= 1 holds coefficient n-1 of each generating
-    function power.
-    """
-    check_size("n_max", n_max, 0)
-    for r in r_list:
-        check_size("r", r, 1)
-    rows = [[ZERO for _ in r_list]]
-    for n in range(1, n_max + 1):
-        rows.append([convolved_closed_form(r, n - 1) for r in r_list])
-    return rows

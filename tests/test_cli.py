@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golden import TABLE_R123, assert_valid_report_dict, compose, corrupt_check
-from hfib import Poly, convolved_table, minor_sum_closed_form
+from hfib import Poly, convolved_closed_form, minor_sum_closed_form
 from hfib.cli import _build_parser, main
 
 
@@ -113,6 +113,12 @@ def table_json(argv):
     return [[Poly.from_json(e) for e in row] for row in json.loads(buf.getvalue())["rows"]]
 
 
+def closed_form_rows(r_list, n_max):
+    """Rows 0..n_max of the table, one column per r: row 0 is zero and
+    row n holds coefficient n - 1 of each generating function power."""
+    return [[convolved_closed_form(r, n - 1) if n else Poly() for r in r_list] for n in range(n_max + 1)]
+
+
 # E zero, constant, with a negative leading coefficient, of degree <= 4
 subst_exprs = st.lists(st.integers(min_value=-30, max_value=30), max_size=5).map(Poly)
 r_lists = st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=3)
@@ -123,7 +129,7 @@ r_lists = st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=3
 def test_subst_equals_horner_composition(e, r_list, n_max):
     r_arg = ",".join(map(str, r_list))
     got = table_json(["--r", r_arg, "--n-max", str(n_max), f"--subst={e}"])
-    expected = [[compose(p, e) for p in row] for row in convolved_table(r_list, n_max)]
+    expected = [[compose(p, e) for p in row] for row in closed_form_rows(r_list, n_max)]
     assert got == expected
 
 
@@ -133,7 +139,7 @@ def test_subst_equals_horner_composition(e, r_list, n_max):
 def test_subst_at_equals_the_composed_entries_at_a(e, r_list, n_max, a):
     r_arg = ",".join(map(str, r_list))
     got = table_json(["--r", r_arg, "--n-max", str(n_max), f"--subst={e}", f"--at={a}"])
-    expected = [[Poly([compose(p, e)(a)]) for p in row] for row in convolved_table(r_list, n_max)]
+    expected = [[Poly([compose(p, e)(a)]) for p in row] for row in closed_form_rows(r_list, n_max)]
     assert got == expected
 
 
@@ -397,14 +403,18 @@ UNWRITABLE = {
 }
 
 
-def run_into(stdout, argv, unbuffered):
+def hfib_env(unbuffered):
     # stdout buffered, as it is by default, meets the error only when a
     # short output is flushed; unbuffered, it meets it at the first write
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def run_into(stdout, argv, unbuffered):
     return subprocess.run([sys.executable, "-m", "hfib", *argv], stdout=stdout,
-                          stderr=subprocess.PIPE, text=True, timeout=120, env=env)
+                          stderr=subprocess.PIPE, text=True, timeout=120, env=hfib_env(unbuffered))
 
 
 @pytest.mark.parametrize("argv", UNWRITABLE.values(), ids=UNWRITABLE.keys())
@@ -419,6 +429,24 @@ def test_output_into_a_closed_pipe_is_one_line_and_exit_2(argv):
     for proc in procs:
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [f"hfib: cannot write output: {os.strerror(errno.EPIPE)}"]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_output_into_a_pipe_closed_mid_stream_is_one_line_and_exit_2(unbuffered):
+    # the reader takes a few bytes of the 16-order table, many times the
+    # pipe's buffer, and goes while the rows are still being written
+    orders = ",".join(str(r) for r in range(100, 84, -1))
+    read, write = os.pipe()
+    proc = subprocess.Popen([sys.executable, "-m", "hfib", "table", "--r", orders, "--n-max", "300"],
+                            stdout=write, stderr=subprocess.PIPE, text=True, env=hfib_env(unbuffered))
+    os.close(write)
+    try:
+        assert os.read(read, 10) == b"n\tr=100\tr="
+    finally:
+        os.close(read)
+    _, stderr = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert stderr.splitlines() == [f"hfib: cannot write output: {os.strerror(errno.EPIPE)}"]
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -53,3 +54,24 @@ def test_mul_commutes(u, v):
 @given(quads, quads, quads)
 def test_mul_distributes(u, v, w):
     assert u * (v + w) == u * v + u * w
+
+
+@given(st.lists(st.integers(min_value=-50, max_value=50), max_size=4), small_poly)
+def test_equal_values_hash_equally(a, b):
+    # a trailing zero coefficient does not make a different value
+    u, v = QuadExt(Poly(a), b), QuadExt(Poly(a + [0]), Poly(list(b.coeffs)))
+    assert u == v and hash(u) == hash(v)
+    assert len({u, v}) == 1
+
+
+def test_immutable():
+    u = QuadExt(H, ONE)
+    for name in ("a", "b", "c"):
+        with pytest.raises(AttributeError):
+            setattr(u, name, ZERO)
+    assert u == QuadExt(H, ONE)
+
+
+def test_repr_names_both_components():
+    assert repr(QuadExt(H, Poly([-4, 0, 1]))) == "QuadExt(Poly('h'), Poly('h^2 - 4'))"
+    assert repr(QuadExt(ZERO, ONE)) == "QuadExt(Poly('0'), Poly('1'))"

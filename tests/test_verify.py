@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 import hfib
-from golden import TABLE_R123, assert_valid_report_dict, corrupt_check
+from golden import assert_valid_report_dict, corrupt_check
 from hfib import (
-    H, ONE, ZERO, CheckResult, Poly, QuadExt, Series, SuiteReport, TPoly, binom, convolved_table, report_to_dict,
+    H, ONE, ZERO, CheckResult, Poly, QuadExt, Series, SuiteReport, TPoly, binom, report_to_dict,
     run_suite, verify,
 )
 from hfib.poly import Dense
@@ -194,8 +194,7 @@ def test_bounds_and_seed_must_be_ints_not_bools(monkeypatch, bounds):
 # Each exported callable that takes a size or another int argument,
 # named as in hfib.__all__ (a method as Class.method): arguments it
 # accepts, and for each such parameter its least value and its largest
-# (None for no end).  convolved_table's sizes are the orders listed in
-# r_list.
+# (None for no end).
 SIZED = {
     "binet_scaled": ({"n": 2}, {"n": (0, None)}),
     "binom": ({"n": 5, "k": 2}, {"n": (None, None), "k": (None, None)}),
@@ -206,7 +205,6 @@ SIZED = {
     "convolved_convolution": ({"r": 2, "m": 2}, {"r": (1, None), "m": (0, None)}),
     "convolved_recurrence": ({"r": 2, "n": 2}, {"r": (1, None), "n": (0, None)}),
     "convolved_series": ({"r": 2, "n_terms": 2}, {"r": (1, None), "n_terms": (1, None)}),
-    "convolved_table": ({"r_list": [2], "n_max": 2}, {"r_list": (1, None), "n_max": (0, None)}),
     "derivative_identity_sides": ({"r": 2, "n": 2}, {"r": (1, None), "n": (1, None)}),
     "fib": ({"n": 2}, {"n": (0, None)}),
     "lucas": ({"n": 2}, {"n": (0, None)}),
@@ -224,7 +222,7 @@ SIZED = {
 }
 
 SIZE_PARAMETERS = {
-    "n", "m", "j", "l", "r", "k", "n_terms", "order", "r_list", "r_max", "n_max", "seed", "power",
+    "n", "m", "j", "l", "r", "k", "n_terms", "order", "r_max", "n_max", "seed", "power",
 }
 
 UNITS = {"Poly": ONE, "TPoly": TPoly([ONE]), "QuadExt": QuadExt(ONE, ZERO), "Series": Series([ONE], 2)}
@@ -255,11 +253,7 @@ def test_every_export_refuses_a_size_before_any_work(monkeypatch, name, paramete
 
     monkeypatch.setattr(Dense, "__mul__", no_product)
     monkeypatch.setattr(Dense, "__rmul__", no_product)
-    if parameter == "r_list":  # an order in the list, checked as r
-        parameter, value = "r", [value]
-        arguments = dict(SIZED[name][0], r_list=value)
-    else:
-        arguments = dict(SIZED[name][0], **{parameter: value})
+    arguments = dict(SIZED[name][0], **{parameter: value})
     with pytest.raises(ValueError, match=f"^{parameter} must be an int"):
         sized_callable(name)(**arguments)
 
@@ -291,27 +285,3 @@ def test_unbounded_int_arguments_keep_their_int_results():
     assert Series([ONE, H], 3) ** -2 == Series([ONE, -2 * H, 3 * H**2], 3)
     assert Series([ONE, H], 3) ** 0 == Series([ONE], 3)
 
-
-def test_convolved_table_matches_frozen_table():
-    rows = convolved_table([1, 2, 3], 8)
-    assert len(rows) == 9
-    rendered = [[str(p) for p in row] for row in rows]
-    assert rendered == TABLE_R123
-
-
-def test_convolved_table_zero_row_convention():
-    rows = convolved_table([1], 1)
-    assert [str(p) for row in rows for p in row] == ["0", "1"]
-    assert rows[0][0] == Poly()
-
-
-def test_convolved_table_specialized_column():
-    rows = convolved_table([2], 4)
-    assert [row[0](1) for row in rows] == [0, 1, 2, 5, 10]
-
-
-def test_convolved_table_validation():
-    with pytest.raises(ValueError):
-        convolved_table([0], 3)
-    with pytest.raises(ValueError):
-        convolved_table([1], -1)
