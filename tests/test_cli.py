@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from golden import TABLE_R123, assert_valid_report_dict, compose, corrupt_check
 from hfib import Poly, convolved_closed_form, minor_sum_closed_form
 from hfib.cli import _build_parser, main
+from hfib.poly import Dense
 
 
 def run_cli(capsys, *argv):
@@ -103,6 +104,37 @@ def test_table_subst_polynomial_then_at(capsys):
     )
     assert code == 0
     assert [row[0] for row in table_text_entries(out)] == ["0", "1", "2", "5", "10"]
+
+
+def test_table_zero_row_convention(capsys):
+    # row 0 is the zero polynomial in every column, row 1 is 1
+    code, out, _ = run_cli(capsys, "table", "--r", "1", "--n-max", "1")
+    assert code == 0
+    assert table_text_entries(out) == [["0"], ["1"]]
+    assert table_json(["--r", "1,5", "--n-max", "0"]) == [[Poly(), Poly()]]
+
+
+def test_table_specialized_column(capsys):
+    # at h = 1 the order-2 column is the Fibonacci self-convolution
+    code, out, _ = run_cli(capsys, "table", "--r", "2", "--n-max", "4", "--at", "1")
+    assert code == 0
+    assert [row[0] for row in table_text_entries(out)] == ["0", "1", "2", "5", "10"]
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--r", "0"), ("--r", "-1"), ("--r", "2.5"), ("--r", "True"), ("--r", ","),
+    ("--n-max", "-1"), ("--n-max", "2.5"), ("--n-max", "True"),
+])
+def test_table_refuses_a_bad_size_before_any_work(capsys, monkeypatch, option, value):
+    def no_product(*_):
+        raise AssertionError("a product was made before the size was refused")
+
+    monkeypatch.setattr(Dense, "__mul__", no_product)
+    monkeypatch.setattr(Dense, "__rmul__", no_product)
+    code, out, err = run_cli(capsys, "table", f"{option}={value}")
+    assert code == 2
+    assert out == ""
+    assert f"argument {option}: " in err.splitlines()[-1]
 
 
 def table_json(argv):
