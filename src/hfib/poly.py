@@ -4,10 +4,12 @@ A polynomial is a tuple of arbitrary-precision integer coefficients,
 index i holding the coefficient of h^i.  Values are normalized (no
 trailing zero) and immutable; the zero polynomial is the empty tuple
 and its degree is None rather than a fake integer.  This module is
-the ring core: Dense holds the dense arithmetic and the rendering loop
-of both Poly and TPoly, the polynomials in t with Poly coefficients of
-the characteristic polynomial; QuadExt is the extension ring Z[h][s]
-with s^2 = DISC = h^2 + 4, where the sequences' root forms live;
+the ring core: Value holds the immutable value protocol of every
+value here and of Series; Dense holds the dense arithmetic and the
+rendering loop of both Poly and TPoly, the polynomials in t with Poly
+coefficients of the characteristic polynomial; QuadExt is the
+extension ring Z[h][s] with s^2 = DISC = h^2 + 4, where the sequences'
+root forms live;
 ring_pow is the package's one square-and-multiply; to_digits and
 from_digits convert exact integers at any size; pack and unpack hold a
 polynomial in h that has only powers of one parity as a single int,
@@ -128,10 +130,34 @@ def ring_pow(x, k: int, one):
     return result
 
 
-class Dense:
+class Value:
+    """An immutable value that is its tuple of coefficients.
+
+    The one value protocol of Poly, TPoly, QuadExt and Series: a
+    subclass stores its coefficients once, in coeffs, with
+    object.__setattr__; assigning any attribute afterwards raises
+    AttributeError; two values are equal when they are of the same type
+    and have equal coeffs, and equal values hash equally.
+    """
+
+    __slots__ = ("coeffs",)
+
+    coeffs: tuple
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+
+class Dense(Value):
     """Dense polynomial over a coefficient ring, index i = power i.
 
-    Values are normalized (no trailing zero coefficient) and immutable.
+    Values are normalized (no trailing zero coefficient).
     A subclass names its coefficient ring's 0 and 1 in _zero and _one,
     and renders one nonzero term in _term.
     Operands of another type are scalars: they multiply every
@@ -139,9 +165,8 @@ class Dense:
     which case they scale this value instead.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    coeffs: tuple
     _zero: object
     _one: object
 
@@ -151,9 +176,6 @@ class Dense:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
     @property
     def degree(self) -> int | None:
         """Degree of the leading term; None for the zero polynomial."""
@@ -161,12 +183,6 @@ class Dense:
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs
@@ -320,46 +336,36 @@ class TPoly(Dense):
 DISC = Poly([4, 0, 1])
 
 
-class QuadExt:
+class QuadExt(Value):
     """The extension ring Z[h][s] with s^2 = h^2 + 4.
 
-    Elements are a + b*s with Poly components; products reduce s^2
-    immediately, so no s-degree above 1 is ever stored.  This is where
-    the closed root forms 2*r1 = h + s and 2*r2 = h - s live, which
-    turns the root formulas for the sequences into exact polynomial
-    statements.
+    Elements are a + b*s with Poly components, stored as coeffs = (a, b);
+    products reduce s^2 immediately, so no s-degree above 1 is ever
+    stored.  This is where the closed root forms 2*r1 = h + s and
+    2*r2 = h - s live, which turns the root formulas for the sequences
+    into exact polynomial statements.
     """
 
-    __slots__ = ("a", "b")
-
-    a: Poly
-    b: Poly
+    __slots__ = ()
 
     def __init__(self, a: Poly, b: Poly):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "coeffs", (a, b))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("QuadExt is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, QuadExt) and self.a == other.a and self.b == other.b
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b))
+    a = property(lambda self: self.coeffs[0], doc="The component a of a + b*s.")
+    b = property(lambda self: self.coeffs[1], doc="The component b of a + b*s.")
 
     def __add__(self, other: QuadExt) -> QuadExt:
-        return QuadExt(self.a + other.a, self.b + other.b)
+        (a1, b1), (a2, b2) = self.coeffs, other.coeffs
+        return QuadExt(a1 + a2, b1 + b2)
 
     def __sub__(self, other: QuadExt) -> QuadExt:
-        return QuadExt(self.a - other.a, self.b - other.b)
+        (a1, b1), (a2, b2) = self.coeffs, other.coeffs
+        return QuadExt(a1 - a2, b1 - b2)
 
     def __mul__(self, other: QuadExt) -> QuadExt:
         # (a1 + b1 s)(a2 + b2 s) = (a1 a2 + b1 b2 (h^2+4)) + (a1 b2 + a2 b1) s
-        return QuadExt(
-            self.a * other.a + self.b * other.b * DISC,
-            self.a * other.b + other.a * self.b,
-        )
+        (a1, b1), (a2, b2) = self.coeffs, other.coeffs
+        return QuadExt(a1 * a2 + b1 * b2 * DISC, a1 * b2 + a2 * b1)
 
     def __pow__(self, k: int) -> QuadExt:
         return ring_pow(self, k, QuadExt(ONE, ZERO))

@@ -10,18 +10,22 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .poly import H, ONE, ZERO, NotDivisible, Poly, check_size
+from .poly import H, ONE, ZERO, NotDivisible, Poly, Value, check_size
 
 
 class NotInvertible(ArithmeticError):
     """Constant coefficient is not a unit of the coefficient ring."""
 
 
-class Series:
-    __slots__ = ("order", "coeffs")
+class Series(Value):
+    """A truncated series stored as its order coefficients, t^0 first.
 
-    order: int
-    coeffs: tuple[Poly, ...]
+    Not a Dense subclass: its order, not a trailing nonzero coefficient,
+    ends a value, and Poly's and TPoly's counted operations stay apart
+    from it.
+    """
+
+    __slots__ = ()
 
     def __init__(self, coeffs: Iterable[Poly], order: int):
         check_size("order", order, 1)
@@ -29,21 +33,9 @@ class Series:
         if len(cs) > order:
             raise ValueError(f"{len(cs)} coefficients exceed order {order}")
         cs.extend([ZERO] * (order - len(cs)))
-        object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Series is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Series)
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.coeffs))
+    order = property(lambda self: len(self.coeffs), doc="The number of stored coefficients.")
 
     def __pow__(self, k: int) -> Series:
         """self^k at the same order, for any int k (a bool or another
@@ -62,13 +54,13 @@ class Series:
         a remainder raises NotDivisible rather than rounds.
         """
         check_size("k", k)
-        order, a = self.order, self.coeffs
+        a = self.coeffs
         if a[0].coeffs not in ((1,), (-1,)):
             raise NotInvertible(f"constant coefficient {a[0]} is not a unit")
         a0 = a[0].coeffs[0]
         tail = [(i, c) for i, c in enumerate(a) if i and c]
         b = [Poly([a0 ** abs(k)])]  # a0 is its own inverse
-        for n in range(1, order):
+        for n in range(1, len(a)):
             acc = ZERO
             for i, c in tail:
                 if i > n:
@@ -81,7 +73,7 @@ class Series:
             if any(rem for _, rem in quotients):
                 raise NotDivisible(f"coefficient of t^{n} is not divisible by {divisor}")
             b.append(Poly([q for q, _ in quotients]))
-        return Series(b, order)
+        return Series(b, len(a))
 
     def __repr__(self) -> str:
         return f"Series({list(self.coeffs)!r}, order={self.order})"

@@ -263,35 +263,28 @@ def _check_charpoly_shift(r_max: int, n_max: int, rng: random.Random) -> Iterato
         yield f"n={n} shift", lhs, rhs
 
 
-def _random_weight_instance(
-    rng: random.Random, a1: int
-) -> tuple[str, Poly, Poly]:
-    n = rng.randint(1, 6)
-    weights = [[_random_poly(rng, 0, 3) for _ in range(n)] for _ in range(n)]
-    rows = []
-    for i in range(n):
-        row = [ZERO] * n
-        for j in range(i, n):
-            row[j] = weights[i][j]
-        if i > 0:
-            row[i - 1] = Poly([-1])
-        rows.append(row)
-    seq = [Poly([a1])]
-    for m in range(1, n + 1):
-        acc = ZERO
-        for i in range(1, m + 1):
-            acc = acc + weights[i - 1][m - 1] * seq[i - 1]
-        seq.append(acc)
-    det = hess_det(HessMatrix(rows))
-    return f"n={n} a1={a1}", Poly([a1]) * det, seq[n]
-
-
 def _check_hessenberg_recurrence(r_max: int, n_max: int, rng: random.Random) -> Iterator[Instance]:
-    for case in range(200):
-        desc, lhs, rhs = _random_weight_instance(rng, 1)
-        yield f"case={case} {desc}", lhs, rhs
-    desc, lhs, rhs = _random_weight_instance(rng, 3)
-    yield f"case=200 {desc}", lhs, rhs
+    # a1 * det of a random upper-Hessenberg weight matrix with -1 on the
+    # subdiagonal is the n-th term of the sequence its weights define
+    for case in range(201):
+        a1 = 3 if case == 200 else 1
+        n = rng.randint(1, 6)
+        weights = [[_random_poly(rng, 0, 3) for _ in range(n)] for _ in range(n)]
+        rows = []
+        for i in range(n):
+            row = [ZERO] * n
+            for j in range(i, n):
+                row[j] = weights[i][j]
+            if i > 0:
+                row[i - 1] = Poly([-1])
+            rows.append(row)
+        seq = [Poly([a1])]
+        for m in range(1, n + 1):
+            acc = ZERO
+            for i in range(1, m + 1):
+                acc = acc + weights[i - 1][m - 1] * seq[i - 1]
+            seq.append(acc)
+        yield f"case={case} n={n} a1={a1}", Poly([a1]) * hess_det(HessMatrix(rows)), seq[n]
 
 
 def _check_hessenberg_naive(r_max: int, n_max: int, rng: random.Random) -> Iterator[Instance]:

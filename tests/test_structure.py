@@ -21,7 +21,8 @@ from types import FunctionType, ModuleType
 import pytest
 
 import hfib
-from hfib import Poly, TPoly
+from hfib import Poly, QuadExt, Series, TPoly
+from hfib.poly import Dense, Value
 
 PACKAGE = Path(hfib.__file__).parent
 
@@ -128,6 +129,22 @@ def test_routes_reach_disjoint_functions():
 def test_tpoly_is_not_a_poly():
     # the benchmark counts Poly's own operations apart from TPoly's
     assert not issubclass(TPoly, Poly)
+
+
+@pytest.mark.parametrize("cls", [Poly, TPoly, QuadExt, Series], ids=lambda cls: cls.__name__)
+def test_the_value_protocol_is_defined_once(cls):
+    # immutability, equality and hashing live in Value alone
+    protocol = {"__setattr__", "__eq__", "__hash__"}
+    assert protocol <= vars(Value).keys()
+    assert issubclass(cls, Value)
+    for base in cls.__mro__[:cls.__mro__.index(Value)]:
+        own = protocol & vars(base).keys()
+        assert not own, (base.__name__, own)
+
+
+def test_series_is_not_dense():
+    # a Series keeps its trailing zeros, and Dense products stay countable apart from it
+    assert not issubclass(Series, Dense)
 
 
 def test_cli_import_loads_neither_dataclasses_nor_csv():
