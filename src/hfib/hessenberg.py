@@ -8,9 +8,10 @@ the last-column Hessenberg expansion, generic in the entry ring: it
 walks each column only from the diagonal up to its first nonzero row
 and multiplies by no unit entry, so it costs n ring multiplications on
 the Fibonacci matrix and O(n^2) on a dense one.
-The principal submatrices of the Fibonacci matrix and t*I - F_n are
-tridiagonal, so their determinants are continuants, one step per
-index, and the kernel serves hess_det alone.  char_poly runs its
+The kernel serves hess_det and verify's det_fib check, and tests run
+it over TPoly as char_poly's reference.  The principal submatrices of
+the Fibonacci matrix and t*I - F_n are tridiagonal, so their
+determinants are continuants, one step per index.  char_poly runs its
 continuant on ints, one per power of t, in the ring core's packed
 layout of Z[h] at a byte width that a Pell number bounds: a step is
 shifts and adds, with no product and no Poly until the end.  The
@@ -24,15 +25,14 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .poly import H, ONE, ZERO, Poly, TPoly, binom, check_size, unpack
+from .poly import H, ONE, ZERO, Poly, TPoly, Value, binom, check_size, unpack
 
 
-class HessMatrix:
-    """Square matrix of Poly entries with zeros below the subdiagonal."""
+class HessMatrix(Value):
+    """Square matrix of Poly entries with zeros below the subdiagonal,
+    stored as coeffs, the tuple of its rows, each a tuple of Poly."""
 
-    __slots__ = ("entries",)
-
-    entries: tuple[tuple[Poly, ...], ...]
+    __slots__ = ()
 
     def __init__(self, entries: Sequence[Sequence[Poly]]):
         n = len(entries)
@@ -48,10 +48,9 @@ class HessMatrix:
                         f"entry ({i + 1},{j + 1}) below the subdiagonal is nonzero"
                     )
             rows.append(tuple(row))
-        object.__setattr__(self, "entries", tuple(rows))
+        object.__setattr__(self, "coeffs", tuple(rows))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("HessMatrix is immutable")
+    entries = property(lambda self: self.coeffs, doc="The rows, each a tuple of Poly.")
 
 
 def _leading_minors(rows, zero, one):

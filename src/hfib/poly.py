@@ -133,11 +133,11 @@ def ring_pow(x, k: int, one):
 class Value:
     """An immutable value that is its tuple of coefficients.
 
-    The one value protocol of Poly, TPoly, QuadExt and Series: a
-    subclass stores its coefficients once, in coeffs, with
-    object.__setattr__; assigning any attribute afterwards raises
-    AttributeError; two values are equal when they are of the same type
-    and have equal coeffs, and equal values hash equally.
+    The one value protocol of Poly, TPoly, QuadExt, Series and
+    hessenberg.HessMatrix: a subclass stores its coefficients once, in
+    coeffs, with object.__setattr__; assigning any attribute afterwards
+    raises AttributeError; two values are equal when they are of the
+    same type and have equal coeffs, and equal values hash equally.
     """
 
     __slots__ = ("coeffs",)

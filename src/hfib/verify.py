@@ -269,12 +269,9 @@ def _check_hessenberg_recurrence(r_max: int, n_max: int, rng: random.Random) -> 
     for case in range(201):
         a1 = 3 if case == 200 else 1
         n = rng.randint(1, 6)
-        weights = [[_random_poly(rng, 0, 3) for _ in range(n)] for _ in range(n)]
         rows = []
         for i in range(n):
-            row = [ZERO] * n
-            for j in range(i, n):
-                row[j] = weights[i][j]
+            row = [ZERO] * i + [_random_poly(rng, 0, 3) for _ in range(i, n)]
             if i > 0:
                 row[i - 1] = Poly([-1])
             rows.append(row)
@@ -282,7 +279,7 @@ def _check_hessenberg_recurrence(r_max: int, n_max: int, rng: random.Random) -> 
         for m in range(1, n + 1):
             acc = ZERO
             for i in range(1, m + 1):
-                acc = acc + weights[i - 1][m - 1] * seq[i - 1]
+                acc = acc + rows[i - 1][m - 1] * seq[i - 1]
             seq.append(acc)
         yield f"case={case} n={n} a1={a1}", Poly([a1]) * hess_det(HessMatrix(rows)), seq[n]
 
@@ -296,8 +293,7 @@ def _check_hessenberg_naive(r_max: int, n_max: int, rng: random.Random) -> Itera
             for j in range(max(0, i - 1), n):
                 row[j] = _random_poly(rng, 1, 3)
             rows.append(row)
-        m = HessMatrix(rows)
-        yield f"case={case} n={n}", hess_det(m), _naive_det([list(r) for r in rows])
+        yield f"case={case} n={n}", hess_det(HessMatrix(rows)), _naive_det(rows)
 
 
 # (check_id, generator) of every _check_<check_id> above, in check_id order

@@ -72,6 +72,21 @@ def test_hess_matrix_is_immutable():
     assert m.entries == ((H, ONE), (Poly([-1]), H))
 
 
+def test_hess_matrix_is_a_value_by_its_rows():
+    # equal rows make equal matrices with equal hashes; the rows are its coeffs
+    rows = [[H, ONE], [Poly([-1]), H]]
+    m = HessMatrix(rows)
+    assert m == build_fib_matrix(2) and hash(m) == hash(build_fib_matrix(2))
+    assert m != build_fib_matrix(3) and m != m.entries
+    assert m.coeffs is m.entries == ((H, ONE), (Poly([-1]), H))
+    assert len({m, build_fib_matrix(2), build_fib_matrix(1)}) == 2
+    with pytest.raises(AttributeError):
+        m.entries = ((ONE,),)
+    for bad in ([[H, ONE, ZERO], [ONE, H, ONE], [ONE, ONE, H]], [[H, ONE], [ONE]], []):
+        with pytest.raises(ValueError):
+            HessMatrix(bad)
+
+
 def test_build_fib_matrix_small():
     assert build_fib_matrix(1).entries == ((H,),)
     m = build_fib_matrix(2)

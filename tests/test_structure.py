@@ -21,7 +21,7 @@ from types import FunctionType, ModuleType
 import pytest
 
 import hfib
-from hfib import Poly, QuadExt, Series, TPoly
+from hfib import HessMatrix, Poly, QuadExt, Series, TPoly
 from hfib.poly import Dense, Value
 
 PACKAGE = Path(hfib.__file__).parent
@@ -131,7 +131,7 @@ def test_tpoly_is_not_a_poly():
     assert not issubclass(TPoly, Poly)
 
 
-@pytest.mark.parametrize("cls", [Poly, TPoly, QuadExt, Series], ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", [Poly, TPoly, QuadExt, Series, HessMatrix], ids=lambda cls: cls.__name__)
 def test_the_value_protocol_is_defined_once(cls):
     # immutability, equality and hashing live in Value alone
     protocol = {"__setattr__", "__eq__", "__hash__"}

@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import inspect
 import random
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -142,6 +143,23 @@ def test_random_poly_draws_as_randint_draws(max_degree, max_coeff):
         for _ in range(400):
             assert verify._random_poly(ours, max_degree, max_coeff) == randint_poly(reference, max_degree, max_coeff)
         assert ours.getstate() == reference.getstate()
+
+
+def test_hessenberg_recurrence_draws_only_the_cells_it_reads(monkeypatch):
+    # a case of order n draws its n(n+1)/2 weights on and above the diagonal, no more
+    calls = []
+    draw = verify._random_poly
+
+    def counted(*args):
+        calls.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(verify, "_random_poly", counted)
+    generate = dict(verify._CHECKS)["hessenberg_recurrence"]
+    for desc, _, _ in islice(generate(8, 60, random.Random("0:hessenberg_recurrence")), 30):
+        n = int(desc.split()[1][len("n="):])
+        assert len(calls) == n * (n + 1) // 2, desc
+        calls.clear()
 
 
 def test_report_dict_schema():
