@@ -19,7 +19,7 @@ import sys
 from .hessenberg import char_poly
 from .parse import MAX_DEGREE, ParseError, parse_poly, width
 from .poly import ONE, ZERO, Poly, from_digits
-from .series import convolved_series
+from .series import Series, convolved_series
 from .sequences import convolved_closed_form
 from .verify import report_to_dict, run_suite
 
@@ -82,25 +82,24 @@ def cmd_table(args: argparse.Namespace) -> int:
         degree, w = (e.degree or 0, width(e)) if e is not None else (1, 0)
         if at is not None:
             degree, w = 0, w + degree * abs(at).bit_length()
-        bits = max(top, 1) * max(w, 1)  # ±h^d has w = 0, but each power still costs its coefficients
+        bits = max(top, 1) * max(w, 1)  # ±h^d has w = 0, but each entry still costs its coefficients
         size = len(args.r) * (args.n_max + 1) * (top * degree + 1) * bits
         if top * degree > MAX_DEGREE or bits > MAX_COEFF_BITS or size > MAX_TABLE_BITS:
             args.refuse(f"--subst/--at table over degree {MAX_DEGREE}, "
                         f"{MAX_COEFF_BITS}-bit coefficients or {MAX_TABLE_BITS} bits")
     # row 0 is zero (the sequences start 0, 1, r*h, ...) and row n holds
-    # coefficient n - 1 of each generating function power; each row is
-    # made, substituted and printed before the next, so no table is held
-    rows = ([ZERO] * len(args.r) if n == 0 else [convolved_closed_form(r, n - 1) for r in args.r]
-            for n in range(args.n_max + 1))
+    # coefficient n - 1 of each generating function power (1 - h*t - t^2)^(-r);
+    # --subst E expands (1 - E*t - t^2)^(-r) itself, one series per order
+    # (at --n-max 0 the table is row 0 alone, which the other branch makes)
+    if e is not None and at is None and args.n_max:
+        powers = [Series([ONE, -e, -ONE][:args.n_max], args.n_max) ** -r for r in args.r]
+        rows = [[ZERO] * len(args.r), *zip(*(power.coeffs for power in powers))]
+    else:  # each row is made (and evaluated at A) and printed before the next, so no table is held
+        rows = ([ZERO] * len(args.r) if n == 0 else [convolved_closed_form(r, n - 1) for r in args.r]
+                for n in range(args.n_max + 1))
     if at is not None:  # p(E(A)) is the substituted entry at A
         x = at if e is None else e(at)
         rows = ([Poly([p(x)]) for p in row] for row in rows)
-    elif e is not None:  # sum of c_k * E^k over one table of powers
-        powers = [ONE, e]
-        while len(powers) <= top:
-            powers.append(powers[-1] * e)
-        rows = ([sum((c * powers[k] for k, c in enumerate(p.coeffs) if c), ZERO)
-                 for p in row] for row in rows)
     if args.format == "text":
         print("n\t" + "\t".join(f"r={r}" for r in args.r))
         for n, row in enumerate(rows):

@@ -3,7 +3,8 @@
 Accepts +, -, *, ^ and parentheses over one symbol (written h or x,
 both meaning the internal symbol), with implicit multiplication so the
 canonical renderings round-trip: "2h^2 - 3" parses back to the Poly
-that printed it.
+that printed it.  Implicit multiplication never takes an integer on its
+right, so "h2" and "1 000 000" are refused rather than read as 2h and 0.
 """
 from __future__ import annotations
 
@@ -87,8 +88,8 @@ class _Parser:
             if ch == "*":
                 self._take()
                 rhs = self._unary()
-            elif ch is not None and (ch.isdigit() or ch in _SYMBOLS or ch == "("):
-                # implicit multiplication: 2h, 3(h+1), h(h+1)
+            elif ch is not None and (ch in _SYMBOLS or ch == "("):
+                # implicit multiplication: 2h, 3(h+1), h(h+1), but never h2
                 rhs = self._power()
             else:
                 return value

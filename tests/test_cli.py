@@ -10,7 +10,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from golden import TABLE_R123, assert_valid_report_dict, compose, corrupt_check
@@ -156,7 +156,17 @@ subst_exprs = st.lists(st.integers(min_value=-30, max_value=30), max_size=5).map
 r_lists = st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=3)
 
 
+# --n-max 0 expands no series and 1 a series of order 1; E = 0 and E = 3
+# are constants, -h is passed as --subst=-h, and 3 - 2h has a constant term
 @given(subst_exprs, r_lists, st.integers(min_value=0, max_value=14))
+@example(Poly([3]), [1, 2, 7], 0)
+@example(Poly(), [1, 2, 7], 1)
+@example(Poly([3]), [1, 2, 7], 1)
+@example(Poly(), [1, 2, 7], 9)
+@example(Poly([3]), [1, 2, 7], 9)
+@example(Poly([0, -1]), [1, 2, 7], 1)
+@example(Poly([0, -1]), [1, 2, 7], 9)
+@example(Poly([3, -2]), [1, 2, 7], 9)
 @settings(max_examples=60, deadline=None)
 def test_subst_equals_horner_composition(e, r_list, n_max):
     r_arg = ",".join(map(str, r_list))
@@ -176,7 +186,7 @@ def test_subst_at_equals_the_composed_entries_at_a(e, r_list, n_max, a):
 
 
 @pytest.mark.parametrize("at", [None, "7"])
-def test_subst_work_is_one_power_table_or_none(at, monkeypatch):
+def test_subst_work_is_one_series_per_order_or_none(at, monkeypatch):
     argv = ["table", "--r", "1,4", "--n-max", "80", "--subst", "h^2+4h+5", "--format", "csv"]
     args = _build_parser().parse_args(argv + (["--at", at] if at else []))
     calls = 0
@@ -191,8 +201,10 @@ def test_subst_work_is_one_power_table_or_none(at, monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert args.func(args) == 0
     monkeypatch.undo()
-    # E^2..E^D for the largest entry degree D = 79; evaluation needs none
-    assert calls == (0 if at else 79 - 1)
+    # each of the 2 * 80 substituted entries costs at most two terms of
+    # the series recurrence, a weight times -E and a weight times -1,
+    # each scaled and multiplied by an earlier entry; evaluation needs none
+    assert (calls == 0) if at else (0 < calls <= 4 * 2 * 80)
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -362,6 +374,20 @@ def test_subst_refusal_quotes_at_most_a_prefix(capsys):
     assert main(["table", "--subst", "h+" * 30 + "?"]) == 2
     err = capsys.readouterr().err
     assert f"bad polynomial {'h+' * 20!r}...: unexpected character '?' (at position 60)" in err
+
+
+@pytest.mark.parametrize("text, position", [("1 000 000", 2), ("h2", 1)])
+def test_an_integer_after_a_factor_is_refused_in_one_line(capsys, text, position):
+    code, out, err = run_cli(capsys, "table", "--subst", text)
+    assert (code, out) == (2, "")
+    refusal = [line for line in err.splitlines() if not line.startswith(("usage:", " "))]
+    assert refusal == [f"hfib table: error: argument --subst: bad polynomial {text!r}: "
+                       f"unexpected character {text[position]!r} (at position {position})"]
+
+
+def test_a_subst_value_starting_with_a_sign_is_attached_with_equals(capsys):
+    assert main(["table", "--subst", "-h"]) == 2
+    assert "argument --subst: expected one argument" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -43,7 +43,7 @@ REFUSED = {
     "subst-bits": ["table", "--n-max", "80", "--subst", "10^4400"],
     "at-bits": ["table", "--n-max", str(MAX_LENGTH), "--at", "9" * 4401],
     "subst-at-bits": ["table", "--n-max", str(MAX_LENGTH), "--subst", "h^1000", "--at", "2"],
-    # E = h^3 has coefficient width 0, yet the powers table visits every coefficient
+    # E = h^3 has coefficient width 0, yet its series still makes every coefficient
     "subst-monomial-work": ["table", "--r", TOP_ORDERS, "--n-max", str(MAX_LENGTH), "--subst", "h^3", "--format", "json"],
     # an integer option takes ASCII digits alone, as --at does
     "n-max-arabic-digit": ["table", "--n-max", "\u0663"],
@@ -149,15 +149,19 @@ def test_caps_admit_the_largest_seed():
 
 
 # the largest input each command accepts: every argument at its cap, with
-# the peak resident size in MB it must stay below.  The text table prints
-# each row as it is made, so it never holds the grid that JSON's one
-# payload does
+# the peak resident size in MB it must stay below.  The plain text table
+# prints each row as it is made, so it never holds the grid that JSON's
+# one payload does; a --subst table holds its columns, one series per
+# order, and its cap is the 16 largest orders with E = h^3 at --n-max 70
+SUBST_CAP = ["table", "--r", TOP_ORDERS, "--n-max", "70", "--subst", "h^3"]
 LARGEST = {
     "verify": (["verify", "--r-max", str(MAX_VERIFY_R), "--n-max", str(MAX_VERIFY_N)], 400),
     "gf": (["gf", "--r", str(MAX_ORDER), "--terms", str(MAX_LENGTH)], 400),
     "charpoly": (["charpoly", "--n", str(MAX_LENGTH)], 400),
     "table": (["table", "--r", TOP_ORDERS, "--n-max", str(MAX_LENGTH), "--format", "json"], 400),
     "table-text": (["table", "--r", TOP_ORDERS, "--n-max", str(MAX_LENGTH)], 64),
+    "table-subst": ([*SUBST_CAP, "--format", "json"], 400),
+    "table-subst-text": (SUBST_CAP, 64),
 }
 
 

@@ -35,6 +35,7 @@ def test_implicit_multiplication():
     assert parse_poly("3h^2") == Poly([0, 0, 3])
     assert parse_poly("h(h+1)") == Poly([0, 1, 1])
     assert parse_poly("2(h+1)") == Poly([2, 2])
+    assert parse_poly("(h+2)(h+3)") == Poly([6, 5, 1])
     assert parse_poly("36h^7 + 168h^5 + 210h^3 + 60h") == Poly([0, 60, 0, 210, 0, 168, 0, 36])
 
 
@@ -43,8 +44,10 @@ def test_whitespace_tolerance():
 
 
 def test_errors():
-    # integers are ASCII digits only: not a superscript or an Arabic-Indic 3
-    for bad in ["", "h^", "h +", "(h", "h)", "y", "h^-2", "*h", "h^(2)", "h^\u00b2", "\u0663h"]:
+    # integers are ASCII digits only: not a superscript or an Arabic-Indic 3;
+    # and an integer never follows a factor, so digits are not grouped by spaces
+    for bad in ["", "h^", "h +", "(h", "h)", "y", "h^-2", "*h", "h^(2)", "h^\u00b2", "\u0663h",
+                "1 000 000", "12 345", "h2", "h^2 3", "(h+1)2"]:
         with pytest.raises(ParseError):
             parse_poly(bad)
 
