@@ -5,10 +5,23 @@ parameter order; the first mismatch becomes the counterexample and the
 suite never aborts early, so a report always carries one result per
 check.  Randomized checks derive their generator from (seed, check_id),
 making reports reproducible regardless of execution order.
+
+run_suite queues the checks on a pipe, ring_axioms first (its cases
+ignore the bounds, and it is the largest check at the default bounds
+and at r_max=8, n_max=60) and the rest in check_id order.  Where
+os.fork exists, at least two CPUs are usable and no other thread is
+alive, it forks one worker; the two processes take checks off the
+queue until it is empty.  The worker writes nothing to stdout or
+stderr: each result goes back to the caller over a second pipe.  Each
+check's elapsed_ms is measured in the process that ran it.
 """
 from __future__ import annotations
 
+import marshal
+import os
 import random
+import signal
+import threading
 import time
 from collections import namedtuple
 from itertools import combinations
@@ -302,25 +315,105 @@ _CHECKS = tuple(sorted(
 ))
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _drain(tasks: int, r_max: int, n_max: int, seed: int) -> Iterator[tuple[int, CheckResult]]:
+    """Take check indices off the task pipe one at a time until it is
+    empty, and run each check."""
+    while index := os.read(tasks, 1):
+        check_id, generate = _CHECKS[index[0]]
+        rng = random.Random(f"{seed}:{check_id}")
+        yield index[0], _run_check(check_id, {"r_max": r_max, "n_max": n_max}, generate(r_max, n_max, rng))
+
+
+def _fork_worker(tasks: int, r_max: int, n_max: int, seed: int):
+    """(pid, file of results) of one forked worker that drains the task
+    pipe, or (None, None) where none is forked.
+
+    A forked copy of a threaded process may find a lock (the memo's of
+    fib and lucas) held by a thread that does not exist in it, so a
+    second live thread rules the worker out, as do a single usable CPU
+    and a fork that fails.  The worker writes each result as a marshalled
+    plain tuple (index, *result) as soon as it is made, and always leaves
+    through os._exit: it neither flushes the caller's buffered output nor
+    runs its exit handlers.
+    """
+    if not hasattr(os, "fork") or _cpus() < 2 or threading.active_count() > 1:
+        return None, None
+    inbox, outbox = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(inbox)
+        os.close(outbox)
+        return None, None
+    if pid:
+        os.close(outbox)
+        return pid, open(inbox, "rb")
+    code = 1
+    try:
+        os.close(inbox)
+        with open(outbox, "wb") as out:
+            for index, result in _drain(tasks, r_max, n_max, seed):
+                marshal.dump((index, *result), out)
+                out.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def run_suite(r_max: int = 5, n_max: int = 30, seed: int = 0) -> SuiteReport:
     """Run every check; failures are data, not exceptions.  A check that
-    raises fails with the exception as its counterexample.
+    raises fails with the exception as its counterexample, and a check
+    that the worker took but never reported fails with the worker's exit
+    status as its counterexample.
 
     Results are ordered by check_id, and every check yields at least one
     instance at the smallest accepted bounds (r_max=1, n_max=2).  A
     bound or seed that is not an int, or is a bool, is refused with
-    ValueError before any check runs.
+    ValueError before any check runs.  No worker outlives the call, even
+    when it raises.
     """
     check_size("r_max", r_max, 1)
     check_size("n_max", n_max, 2)
     check_size("seed", seed, 0)
-    results = []
-    for check_id, generate in _CHECKS:
-        rng = random.Random(f"{seed}:{check_id}")
-        params = {"r_max": r_max, "n_max": n_max}
-        results.append(_run_check(check_id, params, generate(r_max, n_max, rng)))
+    tasks, queue = os.pipe()
+    os.write(queue, bytes(sorted(range(len(_CHECKS)), key=lambda i: _CHECKS[i][0] != "ring_axioms")))
+    os.close(queue)
+    results, worker, inbox = {}, None, None
+    try:
+        worker, inbox = _fork_worker(tasks, r_max, n_max, seed)
+        results.update(_drain(tasks, r_max, n_max, seed))
+        while inbox is not None:
+            try:
+                index, *fields = marshal.load(inbox)
+            except EOFError:  # the end of the pipe, or of a record cut short
+                break
+            results[index] = CheckResult(*fields)
+    except BaseException:
+        if worker:
+            os.kill(worker, signal.SIGKILL)
+        raise
+    finally:
+        os.close(tasks)
+        if inbox:
+            inbox.close()
+        if worker:
+            status = os.waitstatus_to_exitcode(os.waitpid(worker, 0)[1])
+    results = tuple(
+        results.get(index) or CheckResult(
+            check_id, {"r_max": r_max, "n_max": n_max}, False,
+            f"the worker exited with status {status} before reporting this check", 0,
+        )
+        for index, (check_id, _) in enumerate(_CHECKS)
+    )
     return SuiteReport(
-        results=tuple(results),
+        results=results,
         all_passed=all(r.passed for r in results),
         bounds={"r_max": r_max, "n_max": n_max, "seed": seed},
     )

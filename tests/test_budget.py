@@ -81,9 +81,11 @@ def test_each_module_keeps_to_its_code_line_budget():
 # route 2 (n + 1 per packed term, as _conv_sum makes them), and charges
 # each to the check that is running.  A fresh process and the fixed
 # check order make the counts exact: the memo of fib and lucas starts
-# empty.
+# empty.  The process pins itself to one CPU, so run_suite forks no
+# worker and every check runs, and is counted, here.
 PRODUCTS = """
 import json
+import os
 import hfib.sequences as seq
 import hfib.verify as verify
 from hfib.poly import Dense
@@ -110,6 +112,7 @@ def charged_check(check_id, *args):
 Dense.__mul__ = Dense.__rmul__ = counted_mul
 seq._conv_sum = counted_sum
 verify._run_check = charged_check
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 assert verify.run_suite(8, 60).all_passed
 print(json.dumps(counts))
 """

@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import ast
 import inspect
+import os
 import random
+import threading
+import time
+import warnings
 from itertools import islice
 from pathlib import Path
 
@@ -126,6 +130,117 @@ def test_check_that_raises_fails_and_the_suite_runs_on(monkeypatch, yield_first)
     assert failed[0].counterexample == "ZeroDivisionError: boom"
     assert failed[0].params == {"r_max": 1, "n_max": 2}
     assert_valid_report_dict(report_to_dict(report))
+
+
+def blank_elapsed(report):
+    return report._replace(results=tuple(r._replace(elapsed_ms=0) for r in report.results))
+
+
+def force_worker(monkeypatch, fork=os.fork):
+    """Make run_suite fork its worker through `fork`, on any host;
+    returns the list of pids `fork` returned to the caller."""
+    pids = []
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(verify, "_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def no_fork():
+    raise AssertionError("os.fork called")
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("bounds", [(1, 2), (3, 10), (8, 60)])
+def test_report_with_a_worker_equals_the_report_without(monkeypatch, bounds):
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "_cpus", lambda: 1)
+        patch.setattr(os, "fork", no_fork)
+        alone = run_suite(*bounds, seed=5)
+    pids = force_worker(monkeypatch)
+    shared = run_suite(*bounds, seed=5)
+    assert len(pids) == 1
+    assert blank_elapsed(shared) == blank_elapsed(alone)
+    assert shared.all_passed
+    assert_no_child_left()
+
+
+def test_a_worker_that_exits_fails_the_check_it_took(monkeypatch):
+    # the caller waits until the worker has exited, so the worker takes
+    # ring_axioms, then binet, and exits there; the caller runs the rest
+    fork = os.fork
+
+    def wait_for_exit():
+        pid = fork()
+        if pid:
+            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+        return pid
+
+    caller = os.getpid()
+
+    def exits_in_the_worker(r_max, n_max, rng):
+        if os.getpid() != caller:
+            os._exit(3)
+        yield "in the caller", ONE, ONE
+
+    checks = tuple((c, exits_in_the_worker if c == "binet" else g) for c, g in verify._CHECKS)
+    monkeypatch.setattr(verify, "_CHECKS", checks)
+    pids = force_worker(monkeypatch, wait_for_exit)
+    report = run_suite(r_max=1, n_max=2)
+    assert len(pids) == 1
+    assert [r.check_id for r in report.results] == CHECK_IDS
+    failed = [r for r in report.results if not r.passed]
+    assert [r.check_id for r in failed] == ["binet"]
+    assert failed[0].counterexample == "the worker exited with status 3 before reporting this check"
+    assert failed[0].params == {"r_max": 1, "n_max": 2}
+    assert_valid_report_dict(report_to_dict(report))
+    assert_no_child_left()
+
+
+def test_a_caller_that_raises_kills_and_reaps_the_worker(monkeypatch):
+    caller = os.getpid()
+
+    def stuck_in_the_worker(r_max, n_max, rng):
+        if os.getpid() != caller:
+            time.sleep(60)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(verify, "_CHECKS", tuple((c, stuck_in_the_worker) for c, _ in verify._CHECKS))
+    pids = force_worker(monkeypatch)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        run_suite(r_max=1, n_max=2)
+    assert time.perf_counter() - start < 30
+    assert len(pids) == 1
+    assert_no_child_left()
+
+
+def test_no_worker_is_forked_beside_a_second_thread(monkeypatch):
+    monkeypatch.setattr(verify, "_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(30,))
+    thread.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_suite(r_max=1, n_max=2)
+    finally:
+        release.set()
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert report.all_passed
+    assert [r.check_id for r in report.results] == CHECK_IDS
 
 
 def randint_poly(rng, max_degree, max_coeff):
